@@ -86,7 +86,8 @@ if os.environ.get("REPRO_SANITIZE"):
 # REPRO_WAITFOR=1 arms the runtime wait-for graph (park tracking, lock
 # deadlock cycles raised at park time, tank ownership ledgers, idle
 # ownership reports); see repro.analysis.waitfor.  Independent of
-# REPRO_SANITIZE — either, both (any order), or neither.
+# REPRO_SANITIZE — either, both, or neither: each arms its own slot in
+# the engine's observer tuple.
 if os.environ.get("REPRO_WAITFOR"):
     from .analysis.waitfor import install as _waitfor_install
 

@@ -9,9 +9,10 @@ time) or by calling :func:`install` directly.  Five invariant groups:
   must carry ``time >= env.now``; a past-dated entry means some code
   pushed directly onto the queues with a stale timestamp.
 * **Monotone clock / global order** — consecutive pops must be
-  non-decreasing in ``(time, priority, eid)``.  The three-queue engine
-  (ready deque / monotone tail / heap) is *supposed* to be
-  pop-order-identical to a single heap; this verifies it on every event.
+  non-decreasing in time, and each popped entry must sort at or before
+  every remaining queue front.  The three-queue engine (ready deque /
+  monotone tail / heap) is *supposed* to be pop-order-identical to a
+  single heap; this verifies it on every event.
 * **Conservation across transplants** — :meth:`Lane.adopt` must count
   the adopted message exactly once in sent, delivered and payload
   bytes, and :meth:`ChannelFactory.transplant` must move every queued
@@ -30,11 +31,13 @@ time) or by calling :func:`install` directly.  Five invariant groups:
   credit protocol).
 
 All violations raise :class:`repro.errors.SanitizerViolation`.  The
-sanitizer routes ``Environment.run``'s inlined drain loop back through
-``step()`` so every event is checked; that costs some throughput, which
-is why it is opt-in (CI runs the tier-1 suite and an engine smoke with
-it armed; the floor for the sanitized smoke is 5% below the normal
-one).
+engine checks are an observer in
+:data:`repro.sim.scheduler.OBSERVERS`; while any observer is armed,
+``run()`` sends every event through ``step()`` instead of its batched
+drain loop.  That costs some throughput, which is why it is opt-in (CI
+runs the tier-1 suite and an engine smoke with it armed; the floor for
+the sanitized smoke is 5% below the normal one).  The conservation,
+flow-state and ring checks still wrap their domain methods.
 """
 
 from __future__ import annotations
@@ -42,16 +45,15 @@ from __future__ import annotations
 from typing import Optional
 
 from ..errors import SanitizerViolation
+from ..sim import scheduler
 
 __all__ = ["install", "uninstall", "installed", "stats", "reset_stats"]
 
 
-class _State:
-    """Saved originals + counters while the sanitizer is installed."""
+class _State(scheduler.Observer):
+    """Engine observer + saved domain methods + counters while armed."""
 
     def __init__(self) -> None:
-        self.orig_step = None
-        self.orig_run = None
         self.orig_adopt = None
         self.orig_transplant = None
         self.orig_table_transition = None
@@ -62,6 +64,41 @@ class _State:
         self.allow_depth = 0
         self.checks: dict[str, int] = {}
         self.violations = 0
+
+    # -- engine checks (scheduler.Observer) ---------------------------------
+
+    def before(self, env, entry) -> None:
+        time, priority, eid, _event = entry
+        if time < env._now:
+            _violate(
+                f"event scheduled in the past: entry at t={time!r} "
+                f"(priority={priority}, eid={eid}) while the clock is at "
+                f"t={env._now!r} — something pushed a stale timestamp "
+                f"directly onto the engine queues"
+            )
+        # Only *time* must be monotone across pops: an event processed at
+        # time t may legitimately schedule an URGENT (lower-priority-number)
+        # event at the same t, which a single heap would also pop next with
+        # a smaller (priority, eid) — full-key monotonicity only holds for a
+        # static event set.
+        last = env.__dict__.get("_san_last_time")
+        if last is not None and time < last:
+            _violate(
+                f"simulation clock regressed: popping an entry at t={time!r} "
+                f"(priority={priority}, eid={eid}) after one at t={last!r} — "
+                f"the three-queue schedule is no longer heap-equivalent"
+            )
+        env.__dict__["_san_last_time"] = time
+        for pending in (env._ready, env._tail, env._queue):
+            if pending and pending[0] < entry:
+                _violate(
+                    f"step() popped t={time!r} (priority={priority}, "
+                    f"eid={eid}) ahead of an earlier queued entry "
+                    f"{pending[0][:3]!r} — the three-queue pop no longer "
+                    f"matches a single heap"
+                )
+        checks = self.checks
+        checks["engine_step"] = checks.get("engine_step", 0) + 1
 
 
 _state: Optional[_State] = None
@@ -98,102 +135,6 @@ def _violate(message: str) -> None:
     if _state is not None:
         _state.violations += 1
     raise SanitizerViolation(message)
-
-
-# -- engine checks ----------------------------------------------------------
-
-
-def _peek_key(env):
-    """Front entry of the globally sorted merge of the three queues."""
-    best = None
-    if env._ready:
-        best = env._ready[0]
-    if env._tail and (best is None or env._tail[0] < best):
-        best = env._tail[0]
-    if env._queue and (best is None or env._queue[0] < best):
-        best = env._queue[0]
-    return best
-
-
-def _checked_step(self) -> None:
-    entry = _peek_key(self)
-    if entry is None:
-        # Let the original raise EmptySchedule with its own message.
-        _state.orig_step(self)
-        return
-    time, priority, eid, _event = entry
-    if time < self._now:
-        _violate(
-            f"event scheduled in the past: entry at t={time!r} "
-            f"(priority={priority}, eid={eid}) while the clock is at "
-            f"t={self._now!r} — something pushed a stale timestamp "
-            f"directly onto the engine queues"
-        )
-    # Only *time* must be monotone across pops: an event processed at
-    # time t may legitimately schedule an URGENT (lower-priority-number)
-    # event at the same t, which a single heap would also pop next with
-    # a smaller (priority, eid) — full-key monotonicity only holds for a
-    # static event set.
-    last = self.__dict__.get("_san_last_time")
-    if last is not None and time < last:
-        _violate(
-            f"simulation clock regressed: popping an entry at t={time!r} "
-            f"(priority={priority}, eid={eid}) after one at t={last!r} — "
-            f"the three-queue schedule is no longer heap-equivalent"
-        )
-    self.__dict__["_san_last_time"] = time
-    _bump("engine_step")
-    _state.orig_step(self)
-    if self._now != time:
-        _violate(
-            f"clock desynchronised: step() predicted t={time!r} but the "
-            f"clock reads t={self._now!r} — step popped a different entry "
-            f"than the global front"
-        )
-
-
-def _checked_run(self, until=None):
-    """Re-route the drain loop through (checked) step().
-
-    The original ``run`` inlines ``step()``'s body for the unbounded
-    cases, bypassing any wrapper; this version reproduces its contract
-    on top of ``self.step()``.  The numeric-``until`` path already calls
-    ``self.step()`` per event, so it is delegated unchanged.
-    """
-    from ..sim.events import Event
-    from ..sim.scheduler import StopSimulation
-
-    if until is not None and not isinstance(until, Event):
-        return _state.orig_run(self, until)
-
-    stop_event = None
-    if until is not None:
-        stop_event = until
-        if stop_event.processed:
-            if stop_event._ok:
-                return stop_event._value
-            raise stop_event._value
-        stop_event._add_callback(self._stop_on)
-
-    try:
-        while self._ready or self._tail or self._queue:
-            self.step()
-    except StopSimulation as stop:
-        event = stop.args[0]
-        if event._ok:
-            return event._value
-        raise event._value from None
-
-    if stop_event is not None:
-        if not stop_event.processed:
-            raise RuntimeError(
-                "simulation ran out of events before `until` event "
-                "triggered"
-            )
-        if stop_event._ok:
-            return stop_event._value
-        raise stop_event._value
-    return None
 
 
 # -- conservation checks ----------------------------------------------------
@@ -344,12 +285,9 @@ def install() -> None:
         return
     from ..core.flows import ChannelFactory, FlowConnection, FlowTable
     from ..core.sockets import FreeFlowSocket
-    from ..sim.scheduler import Environment
     from ..transports.base import Lane
 
     state = _State()
-    state.orig_step = Environment.step
-    state.orig_run = Environment.run
     state.orig_adopt = Lane.adopt
     state.orig_transplant = ChannelFactory.transplant
     state.orig_table_transition = FlowTable.transition
@@ -358,8 +296,7 @@ def install() -> None:
     state.orig_consume_rx = FreeFlowSocket._consume_rx
     _state = state
 
-    Environment.step = _checked_step
-    Environment.run = _checked_run
+    scheduler.OBSERVERS += (state,)
     Lane.adopt = _checked_adopt
     ChannelFactory.transplant = _checked_transplant
     FreeFlowSocket._apply_completions = _checked_apply_completions
@@ -379,11 +316,10 @@ def uninstall() -> None:
         return
     from ..core.flows import ChannelFactory, FlowConnection, FlowTable
     from ..core.sockets import FreeFlowSocket
-    from ..sim.scheduler import Environment
     from ..transports.base import Lane
 
-    Environment.step = _state.orig_step
-    Environment.run = _state.orig_run
+    scheduler.OBSERVERS = tuple(
+        observer for observer in scheduler.OBSERVERS if observer is not _state)
     Lane.adopt = _state.orig_adopt
     ChannelFactory.transplant = _state.orig_transplant
     FreeFlowSocket._apply_completions = _state.orig_apply_completions

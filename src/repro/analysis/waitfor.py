@@ -2,10 +2,13 @@
 
 The static pass (:mod:`repro.analysis.waitgraph`) proves properties of
 the *source*; this module watches the *running* engine — armed by
-``REPRO_WAITFOR=1`` or :func:`install`.  It hooks the three resource
-families (:class:`~repro.sim.resources.Resource`,
-:class:`~repro.sim.resources.Store`, :class:`~repro.sim.resources.Tank`)
-plus :meth:`Environment.run <repro.sim.scheduler.Environment.run>`:
+``REPRO_WAITFOR=1`` or :func:`install`.  It arms two slots: the
+resources' park/grant hook :data:`repro.sim.resources.WAITS`, which
+:class:`~repro.sim.resources.Resource`,
+:class:`~repro.sim.resources.Store` and :class:`~repro.sim.resources.Tank`
+call on every blocking operation, and the engine's observer tuple
+:data:`repro.sim.scheduler.OBSERVERS`, whose ``idle`` hook fires when
+``run()`` drains its queues:
 
 * **Park tracking** — every blocking ``request()``/``get()``/``put()``
   issued from inside a process records a wait edge ``process →
@@ -39,10 +42,8 @@ deterministic ``<type>#<n>`` name in first-seen order (never ``id()``/
 hex, so reports are byte-stable across runs).  Processes are named from
 their generator's qualname, with a ``#n`` suffix for repeats.
 
-Composes with the sanitizer and the profiler in any order: ``install``
-saves whatever methods it finds and ``uninstall`` restores exactly
-those, so instrumentation must be removed LIFO (the same contract the
-other two follow).
+No method is replaced, so it composes with the sanitizer and the
+profiler in any install and uninstall order.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from collections import deque
 from typing import Any, Optional
 
 from ..errors import DeadlockDetected
+from ..sim import resources, scheduler
 
 __all__ = [
     "install",
@@ -66,15 +68,11 @@ __all__ = [
 _OWNER_SWEEP_AT = 4096
 
 
-class _State:
-    """Saved originals + live wait-for graph while installed."""
+class _State(scheduler.Observer):
+    """Live wait-for graph: the ``resources.WAITS`` hook and the engine
+    observer that snapshots idle stalls."""
 
     def __init__(self) -> None:
-        self.orig_request = None
-        self.orig_store_get = None
-        self.orig_tank_get = None
-        self.orig_tank_put = None
-        self.orig_run = None
         #: process -> (event, resource, kind, amount) for its live wait.
         self.waits: dict = {}
         #: Request -> owning process (granted or queued).
@@ -90,6 +88,47 @@ class _State:
         self.checks: dict = {}
         self.violations = 0
         self.last_idle: Optional[dict] = None
+
+    # -- resources.WAITS hook ----------------------------------------------
+
+    def request(self, resource, request) -> None:
+        proc = resource.env._active_process
+        if proc is not None:
+            self.request_owner[request] = proc
+            if len(self.request_owner) > _OWNER_SWEEP_AT:
+                _sweep_request_owners(self)
+            if not request.triggered:
+                _record_wait(self, proc, request, resource, "lock", None)
+                _lock_cycle_check(self, proc, resource)
+
+    def store_get(self, store, event) -> None:
+        if not event.triggered:
+            proc = store.env._active_process
+            if proc is not None:
+                _record_wait(self, proc, event, store, "store-get", None)
+
+    def tank(self, tank, event, amount, sign) -> None:
+        proc = tank.env._active_process
+        if event.triggered:
+            _tank_account(self, tank, proc, amount, sign)
+            return
+        if proc is not None:
+            kind = "tank-get" if sign < 0 else "tank-put"
+            _record_wait(self, proc, event, tank, kind, amount)
+
+        def _granted(_event, state=self, tank=tank, proc=proc,
+                     amount=amount, sign=sign):
+            _tank_account(state, tank, proc, amount, sign)
+
+        event._add_callback(_granted)
+
+    # -- engine observer ----------------------------------------------------
+
+    def idle(self, env) -> None:
+        snapshot = report()
+        if snapshot.get("parked"):
+            self.last_idle = snapshot
+            _bump("idle_reports")
 
 
 _state: Optional[_State] = None
@@ -314,69 +353,6 @@ def _raise_deadlock(state, steps) -> None:
     )
 
 
-# -- traced resource operations ----------------------------------------------
-
-
-def _traced_request(self, priority: int = 0):
-    state = _state
-    request = state.orig_request(self, priority)
-    proc = self.env._active_process
-    if proc is not None:
-        state.request_owner[request] = proc
-        if len(state.request_owner) > _OWNER_SWEEP_AT:
-            _sweep_request_owners(state)
-        if not request.triggered:
-            _record_wait(state, proc, request, self, "lock", None)
-            _lock_cycle_check(state, proc, self)
-    return request
-
-
-def _traced_store_get(self, predicate=None):
-    state = _state
-    event = state.orig_store_get(self, predicate)
-    if not event.triggered:
-        proc = self.env._active_process
-        if proc is not None:
-            _record_wait(state, proc, event, self, "store-get", None)
-    return event
-
-
-def _traced_tank_get(self, amount):
-    state = _state
-    event = state.orig_tank_get(self, amount)
-    proc = self.env._active_process
-    if event.triggered:
-        _tank_account(state, self, proc, amount, -1)
-    else:
-        if proc is not None:
-            _record_wait(state, proc, event, self, "tank-get", amount)
-
-        def _granted(_event, state=state, tank=self, proc=proc,
-                     amount=amount):
-            _tank_account(state, tank, proc, amount, -1)
-
-        event._add_callback(_granted)
-    return event
-
-
-def _traced_tank_put(self, amount):
-    state = _state
-    event = state.orig_tank_put(self, amount)
-    proc = self.env._active_process
-    if event.triggered:
-        _tank_account(state, self, proc, amount, +1)
-    else:
-        if proc is not None:
-            _record_wait(state, proc, event, self, "tank-put", amount)
-
-        def _granted(_event, state=state, tank=self, proc=proc,
-                     amount=amount):
-            _tank_account(state, tank, proc, amount, +1)
-
-        event._add_callback(_granted)
-    return event
-
-
 # -- reports -----------------------------------------------------------------
 
 
@@ -421,19 +397,6 @@ def idle_report() -> Optional[dict]:
     return _state.last_idle
 
 
-def _traced_run(self, until=None):
-    state = _state
-    result = state.orig_run(self, until)
-    # Only a genuine drain counts as "idle": run(until=<time>) returning
-    # at its time bound leaves future events queued.
-    if not (self._ready or self._tail or self._queue):
-        snapshot = report()
-        if snapshot.get("parked"):
-            state.last_idle = snapshot
-            _bump("idle_reports")
-    return result
-
-
 # -- install / uninstall -----------------------------------------------------
 
 
@@ -442,35 +405,17 @@ def install() -> None:
     global _state
     if _state is not None:
         return
-    from ..sim.resources import Resource, Store, Tank
-    from ..sim.scheduler import Environment
-
-    state = _State()
-    state.orig_request = Resource.request
-    state.orig_store_get = Store.get
-    state.orig_tank_get = Tank.get
-    state.orig_tank_put = Tank.put
-    state.orig_run = Environment.run
-    _state = state
-
-    Resource.request = _traced_request
-    Store.get = _traced_store_get
-    Tank.get = _traced_tank_get
-    Tank.put = _traced_tank_put
-    Environment.run = _traced_run
+    _state = _State()
+    resources.WAITS = _state
+    scheduler.OBSERVERS += (_state,)
 
 
 def uninstall() -> None:
-    """Restore the untraced resource operations (idempotent)."""
+    """Disarm the wait-for graph (idempotent)."""
     global _state
     if _state is None:
         return
-    from ..sim.resources import Resource, Store, Tank
-    from ..sim.scheduler import Environment
-
-    Resource.request = _state.orig_request
-    Store.get = _state.orig_store_get
-    Tank.get = _state.orig_tank_get
-    Tank.put = _state.orig_tank_put
-    Environment.run = _state.orig_run
+    resources.WAITS = None
+    scheduler.OBSERVERS = tuple(
+        observer for observer in scheduler.OBSERVERS if observer is not _state)
     _state = None

@@ -266,9 +266,10 @@ def run_scenario(scenario: Scenario, seed: int = 1) -> dict:
     armed_here = not _sanitizer.installed()
     if armed_here:
         _sanitizer.install()
-    # The wait-for graph rides along (LIFO under the sanitizer): lock
-    # cycles raise DeadlockDetected mid-run, and scenario probes can
-    # snapshot waitfor.report() to name who holds a stalled credit.
+    # The wait-for graph rides along (both are engine observers, so the
+    # arming order does not matter): lock cycles raise DeadlockDetected
+    # mid-run, and scenario probes can snapshot waitfor.report() to name
+    # who holds a stalled credit.
     waitfor_here = not _waitfor.installed()
     if waitfor_here:
         _waitfor.install()

@@ -31,6 +31,7 @@ no-starvation property are preserved exactly (see
 from __future__ import annotations
 
 from collections import deque
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, Deque, Optional
 
 from .events import Event
@@ -48,7 +49,19 @@ __all__ = [
     "Tank",
     "TankPut",
     "TankGet",
+    "WAITS",
 ]
+
+#: Process-wide park/grant hook for the blocking primitives (the seam the
+#: runtime wait-for graph arms, mirroring ``netstack.tcp.FAULTS``).  When
+#: set, every ``Resource.request``, ``Store.get``, ``Tank.get`` and
+#: ``Tank.put`` reports its event once the operation has either been
+#: granted on the spot or parked: ``WAITS.request(resource, request)``,
+#: ``WAITS.store_get(store, event)`` and ``WAITS.tank(tank, event,
+#: amount, sign)`` with ``sign`` -1 for a get and +1 for a put.
+WAITS = None
+
+_priority = attrgetter("priority")
 
 
 class Request(Event):
@@ -100,7 +113,7 @@ class Resource:
     so a pure-FIFO resource just never passes the argument.
     """
 
-    __slots__ = ("env", "_capacity", "users", "queue", "on_change", "label")
+    __slots__ = ("env", "_capacity", "users", "queue", "label")
 
     def __init__(
         self,
@@ -117,8 +130,6 @@ class Resource:
         self._capacity = capacity
         self.users: list[Request] = []
         self.queue: list[Request] = []
-        #: Optional hooks, called as f(resource) after each grant/release.
-        self.on_change: list[Callable[["Resource"], None]] = []
 
     @property
     def capacity(self) -> int:
@@ -131,7 +142,10 @@ class Resource:
 
     def request(self, priority: int = 0) -> Request:
         """Claim one slot; the returned event triggers when granted."""
-        return Request(self, priority)
+        request = Request(self, priority)
+        if WAITS is not None:
+            WAITS.request(self, request)
+        return request
 
     def release(self, request: Request) -> Release:
         """Release a granted slot (also done by the ``with`` form)."""
@@ -152,14 +166,11 @@ class Resource:
 
     def _trigger(self) -> None:
         while self.queue and len(self.users) < self._capacity:
-            request = min(
-                self.queue, key=lambda r: (r.priority, self.queue.index(r))
-            )
+            # min() returns the first minimal request: FIFO among equals.
+            request = min(self.queue, key=_priority)
             self.queue.remove(request)
             self.users.append(request)
             request.succeed()
-        for hook in self.on_change:
-            hook(self)
 
 
 class StorePut(Event):
@@ -261,7 +272,10 @@ class Store:
 
     def get(self, predicate: Optional[Callable[[Any], bool]] = None) -> StoreGet:
         """Take the oldest item (matching ``predicate`` if given)."""
-        return StoreGet(self, predicate)
+        event = StoreGet(self, predicate)
+        if WAITS is not None:
+            WAITS.store_get(self, event)
+        return event
 
     def try_get(self) -> Any:
         """Non-blocking get: pop the oldest item or return None."""
@@ -398,12 +412,14 @@ class Tank:
             event.succeed()
             if self._gets:
                 self._trigger()
-            return event
-        event = TankPut(self, amount)
-        self._puts.append(event)
-        # No _trigger: the head put still does not fit (queue was non-empty
-        # or this put overflows), and the level did not change, so no
-        # queued get can have become satisfiable either.
+        else:
+            event = TankPut(self, amount)
+            self._puts.append(event)
+            # No _trigger: the head put still does not fit (queue was
+            # non-empty or this put overflows), and the level did not
+            # change, so no queued get can have become satisfiable either.
+        if WAITS is not None:
+            WAITS.tank(self, event, amount, +1)
         return event
 
     def get(self, amount: float) -> Event:
@@ -416,9 +432,11 @@ class Tank:
             event.succeed()
             if self._puts:
                 self._trigger()
-            return event
-        event = TankGet(self, amount)
-        self._gets.append(event)
+        else:
+            event = TankGet(self, amount)
+            self._gets.append(event)
+        if WAITS is not None:
+            WAITS.tank(self, event, amount, -1)
         return event
 
     def _trigger(self) -> None:

@@ -25,6 +25,13 @@ order — while the common cases are O(1):
   tail's last entry falls back to the heap.
 * ``_queue`` — heap for everything else: urgent (interrupt) events and
   out-of-order delayed inserts.
+
+Instrumentation (the runtime sanitizer, the engine profiler, the
+wait-for graph) never patches this class: it registers an
+:class:`Observer` in :data:`OBSERVERS`.  While that tuple is empty
+``run()`` drains the queues with its batched inlined loop; while it is
+not, every event goes through ``step()``, which hands each observer the
+popped entry before and after its callbacks run.
 """
 
 from __future__ import annotations
@@ -37,12 +44,42 @@ from typing import Any, Iterable, Optional
 from .events import NO_CALLBACKS, AllOf, AnyOf, Event, Timeout
 from .process import Process, ProcessGen
 
-__all__ = ["Environment", "EmptySchedule", "StopSimulation"]
+__all__ = [
+    "OBSERVERS", "Environment", "EmptySchedule", "Observer", "StopSimulation",
+]
 
 #: Scheduling priorities: URGENT events (interrupts) run before NORMAL
 #: events that share the same timestamp.
 URGENT = 0
 NORMAL = 1
+
+#: Process-wide engine observers (the instrumentation seam, mirroring
+#: ``netstack.tcp.FAULTS``): a tuple of :class:`Observer`, called in
+#: order.  Tools arm by appending themselves and disarm by filtering
+#: themselves out, so any install/uninstall order composes.
+OBSERVERS: tuple = ()
+
+
+class Observer:
+    """Engine observer protocol; every hook defaults to a no-op.
+
+    ``before``/``after`` bracket one event's callbacks: ``before`` sees
+    the popped ``(time, priority, eid, event)`` entry while ``env.now``
+    still holds the previous clock, and ``after`` runs in a ``finally``
+    once the callbacks returned or raised.  ``idle`` runs when ``run()``
+    returns with every queue drained.
+    """
+
+    __slots__ = ()
+
+    def before(self, env: "Environment", entry: tuple) -> None:
+        pass
+
+    def after(self, env: "Environment", entry: tuple) -> None:
+        pass
+
+    def idle(self, env: "Environment") -> None:
+        pass
 
 
 class EmptySchedule(Exception):
@@ -160,38 +197,50 @@ class Environment:
             if tail and tail[0] < best:
                 best = tail[0]
                 if queue and queue[0] < best:
-                    self._now, _, _, event = heapq.heappop(queue)
+                    entry = heapq.heappop(queue)
                 else:
-                    self._now, _, _, event = tail.popleft()
+                    entry = tail.popleft()
             elif queue and queue[0] < best:
-                self._now, _, _, event = heapq.heappop(queue)
+                entry = heapq.heappop(queue)
             else:
-                self._now, _, _, event = ready.popleft()
+                entry = ready.popleft()
         elif tail:
             if queue and queue[0] < tail[0]:
-                self._now, _, _, event = heapq.heappop(queue)
+                entry = heapq.heappop(queue)
             else:
-                self._now, _, _, event = tail.popleft()
+                entry = tail.popleft()
         elif queue:
-            self._now, _, _, event = heapq.heappop(queue)
+            entry = heapq.heappop(queue)
         else:
             raise EmptySchedule()
         self.events_processed += 1
+        observers = OBSERVERS
+        if observers:
+            # Observers see the entry while the clock still reads the
+            # previous event's time.
+            for observer in observers:
+                observer.before(self, entry)
+        self._now, _, _, event = entry
+        try:
+            # Inlined Event._mark_processed + dispatch: the compact
+            # callback representation means no list is built for
+            # 0/1-waiter events.
+            callbacks = event._callbacks
+            event._callbacks = None
+            if type(callbacks) is list:
+                for callback in callbacks:
+                    callback(event)
+            elif callbacks is not NO_CALLBACKS:
+                callbacks(event)
 
-        # Inlined Event._mark_processed + dispatch: the compact callback
-        # representation means no list is built for 0/1-waiter events.
-        callbacks = event._callbacks
-        event._callbacks = None
-        if type(callbacks) is list:
-            for callback in callbacks:
-                callback(event)
-        elif callbacks is not NO_CALLBACKS:
-            callbacks(event)
-
-        if not event._ok and not event.defused:
-            # A failure that nobody consumed: surface it loudly.
-            exc = event._value
-            raise exc
+            if not event._ok and not event.defused:
+                # A failure that nobody consumed: surface it loudly.
+                exc = event._value
+                raise exc
+        finally:
+            if observers:
+                for observer in observers:
+                    observer.after(self, entry)
 
     def run(self, until: "float | Event | None" = None) -> Any:
         """Run the simulation.
@@ -202,7 +251,18 @@ class Environment:
         * a number — run until the clock reaches that time;
         * an :class:`Event` — run until that event is processed, returning
           its value (or raising its exception).
+
+        :data:`OBSERVERS` is read once, here; armed observers get their
+        ``idle`` hook when the run returns with every queue drained.
         """
+        observers = OBSERVERS
+        result = self._run(until, observers)
+        if observers and not (self._ready or self._tail or self._queue):
+            for observer in observers:
+                observer.idle(self)
+        return result
+
+    def _run(self, until: "float | Event | None", observers: tuple) -> Any:
         if until is None:
             stop_at = float("inf")
             stop_event: Optional[Event] = None
@@ -223,10 +283,11 @@ class Environment:
                 )
 
         try:
-            if stop_at == float("inf"):
-                # No time bound: drain the queues with step()'s body
-                # inlined (keep in sync with step()) — the per-event method
-                # call is measurable at millions of events per run.
+            if stop_at == float("inf") and not observers:
+                # No time bound, nobody observing: drain the queues with
+                # step()'s body inlined (keep in sync with step()) — the
+                # per-event method call is measurable at millions of
+                # events per run.
                 ready = self._ready
                 tail = self._tail
                 queue = self._queue
@@ -303,19 +364,17 @@ class Environment:
                 finally:
                     self.events_processed += events
             else:
-                while True:
-                    next_at = self._next_entry_time()
-                    if next_at > stop_at:  # also covers drained queues (inf)
-                        self._now = stop_at
-                        return None
+                # A time bound or armed observers: one step() per event.
+                bounded = stop_at != float("inf")
+                while self._ready or self._tail or self._queue:
+                    if bounded and self._next_entry_time() > stop_at:
+                        break
                     self.step()
         except StopSimulation as stop:
             event = stop.args[0]
             if event._ok:
                 return event._value
             raise event._value from None
-        except EmptySchedule:  # pragma: no cover - race with while condition
-            pass
 
         if stop_event is not None and not stop_event.processed:
             raise RuntimeError(

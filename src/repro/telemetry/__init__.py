@@ -15,8 +15,9 @@ handle so hot paths can gate on a single pointer compare:
   of the registry on a bounded ring (the utilization timeline);
 * :mod:`~repro.telemetry.profiler` — engine profiler attributing
   events (and wall-clock) to subsystem callback sites.  Armed
-  separately via :func:`profiler.install` because it monkeypatches the
-  engine rather than hooking message paths.
+  separately via :func:`profiler.install` because it is an engine
+  observer (``repro.sim.scheduler.OBSERVERS``) rather than a
+  message-path hook.
 
 Use :func:`session` to enable the message-path components::
 

@@ -8,13 +8,13 @@ resumes, the *process generator's* code object, which is what names the
 subsystem (``netstack/tcp.py:_rx_worker``, ``core/vnic.py:_sq_loop``,
 …) rather than the engine-internal trampoline.
 
-Install/uninstall mirrors :mod:`repro.analysis.sanitizer`: the engine's
-``step``/``run`` are swapped for wrappers, and ``run``'s inlined drain
-loop is re-routed through ``step()`` so every event passes the wrapper.
-The un-armed engine is untouched — zero cost when not profiling.  The
-profiler composes with the sanitizer (either order of install works;
-uninstall in LIFO order) because each saves and restores whatever
-``step``/``run`` it found.
+:func:`install` adds the profiler to the engine's observer tuple
+(:data:`repro.sim.scheduler.OBSERVERS`): ``step()`` calls its
+``before``/``after`` hooks around each event's callbacks, and an armed
+observer sends ``run()``'s drain loop through ``step()``.  A disarmed
+engine only tests the empty tuple.  Observers compose in any install and
+uninstall order, so the profiler runs alongside the sanitizer and the
+wait-for graph without caring which was armed first.
 
 Determinism: event counts and shares are a pure function of the
 simulation and appear in the deterministic report artifact; wall-clock
@@ -29,6 +29,7 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Optional
 
+from ..sim import scheduler
 from ..sim.events import NO_CALLBACKS
 
 __all__ = ["ACTIVE", "EngineProfiler", "install", "uninstall", "installed"]
@@ -46,10 +47,11 @@ def _short_path(filename: str) -> str:
     return parts[-1]
 
 
-class EngineProfiler:
+class EngineProfiler(scheduler.Observer):
     """Per-callback-site event counts and wall-clock attribution."""
 
-    __slots__ = ("sites", "events_total", "wall_total_s", "_code_labels")
+    __slots__ = ("sites", "events_total", "wall_total_s", "_code_labels",
+                 "_site", "_started")
 
     def __init__(self) -> None:
         #: site label -> [events, wall_seconds].  Keyspace is bounded by
@@ -58,6 +60,8 @@ class EngineProfiler:
         self.events_total = 0
         self.wall_total_s = 0.0
         self._code_labels: dict[int, str] = {}
+        self._site = ""
+        self._started = 0.0
 
     # -- attribution -------------------------------------------------------
 
@@ -104,6 +108,15 @@ class EngineProfiler:
         self.events_total += 1
         self.wall_total_s += wall_s
 
+    # -- engine observer ---------------------------------------------------
+
+    def before(self, env, entry) -> None:
+        self._site = self.site_of(entry[3])
+        self._started = perf_counter()
+
+    def after(self, env, entry) -> None:
+        self.record(self._site, perf_counter() - self._started)
+
     # -- queries -----------------------------------------------------------
 
     def records(self) -> list[dict]:
@@ -144,121 +157,34 @@ class EngineProfiler:
         return len(self.sites) + len(self._code_labels)
 
 
-# -- engine instrumentation (sanitizer-style monkeypatch) -------------------
-
-
-class _State:
-    __slots__ = ("orig_step", "orig_run")
-
-    def __init__(self, orig_step, orig_run) -> None:
-        self.orig_step = orig_step
-        self.orig_run = orig_run
-
-
-_state: Optional[_State] = None
+# -- install / uninstall ---------------------------------------------------
 
 
 def installed() -> bool:
-    return _state is not None
-
-
-def _peek_event(env):
-    """Front event of the globally sorted merge of the three queues."""
-    best = None
-    if env._ready:
-        best = env._ready[0]
-    if env._tail and (best is None or env._tail[0] < best):
-        best = env._tail[0]
-    if env._queue and (best is None or env._queue[0] < best):
-        best = env._queue[0]
-    return best[3] if best is not None else None
-
-
-def _profiled_step(self) -> None:
-    profiler = ACTIVE
-    if profiler is None:
-        _state.orig_step(self)
-        return
-    event = _peek_event(self)
-    if event is None:
-        # Let the original raise EmptySchedule with its own message.
-        _state.orig_step(self)
-        return
-    site = profiler.site_of(event)
-    started = perf_counter()
-    try:
-        _state.orig_step(self)
-    finally:
-        profiler.record(site, perf_counter() - started)
-
-
-def _profiled_run(self, until=None):
-    """Re-route run()'s inlined drain loop through (profiled) step().
-
-    Mirrors the sanitizer's wrapper: the numeric-``until`` path already
-    calls ``self.step()`` per event, so it is delegated unchanged.
-    """
-    from ..sim.events import Event
-    from ..sim.scheduler import StopSimulation
-
-    if until is not None and not isinstance(until, Event):
-        return _state.orig_run(self, until)
-
-    stop_event = None
-    if until is not None:
-        stop_event = until
-        if stop_event.processed:
-            if stop_event._ok:
-                return stop_event._value
-            raise stop_event._value
-        stop_event._add_callback(self._stop_on)
-
-    try:
-        while self._ready or self._tail or self._queue:
-            self.step()
-    except StopSimulation as stop:
-        event = stop.args[0]
-        if event._ok:
-            return event._value
-        raise event._value from None
-
-    if stop_event is not None:
-        if not stop_event.processed:
-            raise RuntimeError(
-                "simulation ran out of events before `until` event "
-                "triggered"
-            )
-        if stop_event._ok:
-            return stop_event._value
-        raise stop_event._value
-    return None
+    return ACTIVE is not None
 
 
 def install(profiler: Optional[EngineProfiler] = None) -> EngineProfiler:
-    """Arm the profiler (idempotent; returns the active profiler)."""
-    global ACTIVE, _state
-    if _state is not None:
-        if profiler is not None:
-            ACTIVE = profiler
-        return ACTIVE
-    from ..sim.scheduler import Environment
+    """Arm the profiler (idempotent; returns the active profiler).
 
+    Passing a profiler while one is armed swaps it in.
+    """
+    global ACTIVE
+    if ACTIVE is not None:
+        if profiler is None:
+            return ACTIVE
+        uninstall()
     ACTIVE = profiler if profiler is not None else EngineProfiler()
-    _state = _State(Environment.step, Environment.run)
-    Environment.step = _profiled_step
-    Environment.run = _profiled_run
+    scheduler.OBSERVERS += (ACTIVE,)
     return ACTIVE
 
 
 def uninstall() -> Optional[EngineProfiler]:
-    """Restore the engine fast paths; returns the profiler for reading."""
-    global ACTIVE, _state
-    if _state is None:
-        return None
-    from ..sim.scheduler import Environment
-
-    Environment.step = _state.orig_step
-    Environment.run = _state.orig_run
-    _state = None
+    """Disarm the profiler; returns it for reading."""
+    global ACTIVE
     profiler, ACTIVE = ACTIVE, None
+    if profiler is not None:
+        scheduler.OBSERVERS = tuple(
+            observer for observer in scheduler.OBSERVERS
+            if observer is not profiler)
     return profiler

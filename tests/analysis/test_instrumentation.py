@@ -1,31 +1,29 @@
 """Instrumentation composition: sanitizer + profiler + wait-for graph.
 
-All three instruments monkeypatch the same engine entry points
-(``Environment.run`` and friends) by saving whatever they find at
-install time.  That makes them composable in ANY install order as long
-as uninstalls run LIFO — each layer restores exactly what it wrapped.
-This file runs one workload under every permutation and proves (a)
-every instrument observes the run, and (b) LIFO teardown restores the
-pristine class methods.
+None of the three tools replaces an engine or resource method.  Each
+arms a slot — the engine's ``scheduler.OBSERVERS`` tuple, and for the
+wait-for graph also ``resources.WAITS`` — so every tool sees every run
+whatever order they were armed in.
 """
 
 from __future__ import annotations
 
-import itertools
-
 import pytest
 
 from repro.analysis import sanitizer, waitfor
-from repro.sim import Environment
-from repro.sim.process import Process
+from repro.sim import Environment, resources, scheduler
 from repro.sim.resources import Resource, Store, Tank
 from repro.telemetry import profiler as profiler_mod
 
+PATCHABLE = (Environment, Resource, Store, Tank)
 
-def _run_workload():
-    """Exercise every instrumented surface: engine stepping (sanitizer,
-    profiler), a lock park, a blocking store get, and tank traffic
-    (wait-for graph)."""
+
+def _class_dicts():
+    return [dict(cls.__dict__) for cls in PATCHABLE]
+
+
+def _run_stalling_workload():
+    """A lock park, a store get, then a credit get nobody ever fills."""
     env = Environment()
     lock = Resource(env, label="wl-lock")
     inbox = Store(env, label="wl-inbox")
@@ -35,10 +33,10 @@ def _run_workload():
     def consumer():
         with lock.request() as claim:
             yield claim
-            yield credits.get(4)
             item = yield inbox.get()
             got.append(item)
-            yield credits.put(4)
+        yield credits.get(16)
+        yield credits.get(4)  # never completes: nobody banks credit back
 
     def contender():
         with lock.request() as claim:  # parks behind consumer
@@ -55,76 +53,60 @@ def _run_workload():
     assert got == ["payload"]
 
 
-INSTRUMENTS = {
-    "sanitizer": (sanitizer.install, sanitizer.uninstall),
-    "profiler": (profiler_mod.install, profiler_mod.uninstall),
-    "waitfor": (waitfor.install, waitfor.uninstall),
-}
-
-
 @pytest.fixture
-def bare_engine():
-    """Run the test with all suite-wide instrumentation stripped, so
-    install-order permutations start from (and must restore) the
-    pristine class methods."""
-    had_sanitizer = sanitizer.installed()
-    had_waitfor = waitfor.installed()
-    had_profiler = profiler_mod.installed()
-    saved_profiler = profiler_mod.uninstall() if had_profiler else None
-    # LIFO relative to the REPRO_* arming order (sanitizer, then waitfor).
-    if had_waitfor:
-        waitfor.uninstall()
-    if had_sanitizer:
-        sanitizer.uninstall()
+def disarmed():
+    """Start with no tool armed (the suite may run with REPRO_SANITIZE /
+    REPRO_WAITFOR set) and re-arm whatever was armed afterwards."""
+    armed = [(tool.install, tool.uninstall)
+             for tool in (sanitizer, waitfor) if tool.installed()]
+    for _install, uninstall in armed:
+        uninstall()
     yield
-    if had_sanitizer:
-        sanitizer.install()
-    if had_waitfor:
-        waitfor.install()
-    if had_profiler:
-        profiler_mod.install(saved_profiler)
+    for install, _uninstall in armed:
+        install()
 
 
-@pytest.mark.parametrize(
-    "order", list(itertools.permutations(INSTRUMENTS)),
-    ids="+".join,
-)
-def test_any_install_order_composes_and_unwinds(order, bare_engine):
-    pristine_step = Environment.step
-    pristine_run = Environment.run
-    pristine_process_step = Process._step
+def test_every_tool_observes_whatever_the_arming_order(disarmed):
+    pristine = _class_dicts()
 
-    profiler = None
-    for name in order:
-        result = INSTRUMENTS[name][0]()
-        if name == "profiler":
-            profiler = result
+    # Armed the other way round, the sanitizer and the profiler used to
+    # replace run() without calling the wait-for graph's wrapper, and
+    # its idle report was lost.
+    waitfor.install()
+    sanitizer.install()
+    profiler = profiler_mod.install()
     try:
-        _run_workload()
+        assert _class_dicts() == pristine
+        _run_stalling_workload()
+        idle = waitfor.idle_report()
+        assert idle is not None
+        assert idle["parked"] == [{
+            "process": "consumer", "waits_on": "wl-credits",
+            "kind": "tank-get", "amount": 4,
+            "holders": [
+                {"process": "consumer", "holds": "credit", "amount": 16}],
+        }]
+        assert waitfor.stats()["parks"] >= 2  # lock + store get
         assert sanitizer.stats()["engine_step"] > 0
         assert profiler.events_total > 0
-        assert waitfor.stats()["parks"] >= 1
-        assert waitfor.stats()["violations"] == 0
     finally:
-        for name in reversed(order):
-            INSTRUMENTS[name][1]()
+        waitfor.uninstall()
+        sanitizer.uninstall()
+        profiler_mod.uninstall()
 
-    assert Environment.step is pristine_step
-    assert Environment.run is pristine_run
-    assert Process._step is pristine_process_step
-    assert not sanitizer.installed()
-    assert not profiler_mod.installed()
-    assert not waitfor.installed()
+    assert scheduler.OBSERVERS == ()
+    assert resources.WAITS is None
+    assert _class_dicts() == pristine
 
 
-def test_nested_uninstall_mid_stack_leaves_outer_layers_working(bare_engine):
-    """The chaos runner arms waitfor inside an already-sanitized run and
-    removes it first — the realistic partial unwind."""
+def test_nested_uninstall_mid_stack_leaves_outer_layers_working(disarmed):
+    """Disarming one tool leaves the others armed and observing."""
     sanitizer.install()
     waitfor.install()
-    _run_workload()
+    _run_stalling_workload()
+    sanitizer.uninstall()  # out of arming order
+    waitfor.reset_stats()
+    _run_stalling_workload()  # the wait-for graph must still be live
+    assert waitfor.idle_report() is not None
     waitfor.uninstall()
-    _run_workload()  # sanitizer must still be live and functional
-    assert sanitizer.stats()["engine_step"] > 0
-    sanitizer.uninstall()
-    assert not sanitizer.installed()
+    assert scheduler.OBSERVERS == ()

@@ -8,10 +8,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.analysis import sanitizer, waitfor
+from repro.analysis import sanitizer
 from repro.core.flows import ChannelFactory, FlowConnection, FlowState
 from repro.errors import SanitizerViolation
-from repro.sim import Environment
+from repro.sim import Environment, scheduler
 from repro.transports.base import Lane, Mechanism
 
 
@@ -31,20 +31,6 @@ def sanitized():
         sanitizer.uninstall()
 
 
-@pytest.fixture
-def waitfor_peeled():
-    """Tests that uninstall/reinstall the sanitizer must unwind LIFO:
-    when the suite armed the wait-for graph on top (REPRO_WAITFOR=1),
-    peel it first and put it back after, or the sanitizer's uninstall
-    would restore ``Environment.run`` out from under waitfor's wrapper."""
-    had_waitfor = waitfor.installed()
-    if had_waitfor:
-        waitfor.uninstall()
-    yield
-    if had_waitfor:
-        waitfor.install()
-
-
 def pingpong_workload(env: Environment) -> float:
     def proc():
         for _ in range(50):
@@ -57,7 +43,7 @@ def pingpong_workload(env: Environment) -> float:
 # -- engine checks -----------------------------------------------------------
 
 
-def test_sanitized_run_matches_unsanitized_engine(waitfor_peeled, sanitized):
+def test_sanitized_run_matches_unsanitized_engine(sanitized):
     env = Environment()
     result = pingpong_workload(env)
     processed = env.events_processed
@@ -84,6 +70,16 @@ def test_past_event_trips_under_run_until_number(sanitized):
     heapq.heappush(env._queue, (9.0, 1, next(env._eid), env.event()))
     with pytest.raises(SanitizerViolation, match="scheduled in the past"):
         env.run(until=20.0)
+
+
+def test_out_of_order_pop_trips(sanitized):
+    """A tail deque that lost its sort order makes step() pop an entry
+    that a single heap would not pop next."""
+    env = Environment()
+    env._tail.append((5.0, 1, next(env._eid), env.event()))
+    env._tail.append((2.0, 1, next(env._eid), env.event()))
+    with pytest.raises(SanitizerViolation, match="single heap"):
+        env.run()
 
 
 def test_urgent_event_at_current_time_is_legal(sanitized):
@@ -181,7 +177,7 @@ def test_flow_state_guard_allows_transition_api_only(sanitized):
     assert flow.state is FlowState.ACTIVE
 
 
-def test_flow_created_before_install_still_guarded(waitfor_peeled):
+def test_flow_created_before_install_still_guarded():
     was_installed = sanitizer.installed()
     if was_installed:
         sanitizer.uninstall()
@@ -199,19 +195,17 @@ def test_flow_created_before_install_still_guarded(waitfor_peeled):
 # -- install / uninstall -----------------------------------------------------
 
 
-def test_install_is_idempotent_and_uninstall_restores(waitfor_peeled):
+def test_install_is_idempotent_and_uninstall_restores():
     was_installed = sanitizer.installed()
     if was_installed:
         sanitizer.uninstall()
-    plain_step = Environment.step
-    plain_run = Environment.run
+    others = scheduler.OBSERVERS
     try:
         sanitizer.install()
-        sanitizer.install()  # no-op, must not re-wrap
-        assert Environment.step is not plain_step
+        sanitizer.install()  # no-op, must not arm twice
+        assert len(scheduler.OBSERVERS) == len(others) + 1
         sanitizer.uninstall()
-        assert Environment.step is plain_step
-        assert Environment.run is plain_run
+        assert scheduler.OBSERVERS == others
         assert not hasattr(FlowConnection, "state") or (
             not isinstance(FlowConnection.__dict__.get("state"), property))
         # A flow created while armed keeps a readable plain attribute.

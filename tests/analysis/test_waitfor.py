@@ -12,7 +12,7 @@ import pytest
 
 from repro.analysis import waitfor
 from repro.errors import DeadlockDetected
-from repro.sim import Environment
+from repro.sim import Environment, resources, scheduler
 from repro.sim.resources import Resource, Store, Tank
 
 
@@ -227,26 +227,32 @@ def test_live_report_names_store_wait(armed):
 # -- lifecycle ----------------------------------------------------------------
 
 
-def test_install_is_idempotent_and_uninstall_restores():
+@pytest.fixture
+def disarmed():
+    """Run with the wait-for graph off, re-arming it afterwards when the
+    suite runs with REPRO_WAITFOR=1."""
     was_installed = waitfor.installed()
+    waitfor.uninstall()
+    yield
     if was_installed:
-        pytest.skip("suite runs with REPRO_WAITFOR=1; lifecycle covered "
-                    "by test_instrumentation.py permutations")
-    pristine_run = Environment.run
-    pristine_get = Tank.get
+        waitfor.install()
+
+
+def test_install_is_idempotent_and_uninstall_restores(disarmed):
+    others = scheduler.OBSERVERS
     waitfor.install()
-    waitfor.install()  # no double-wrap
+    waitfor.install()  # no double arming
     assert waitfor.installed()
+    assert resources.WAITS is not None
+    assert len(scheduler.OBSERVERS) == len(others) + 1
     waitfor.uninstall()
     waitfor.uninstall()  # no-op
     assert not waitfor.installed()
-    assert Environment.run is pristine_run
-    assert Tank.get is pristine_get
+    assert resources.WAITS is None
+    assert scheduler.OBSERVERS == others
 
 
-def test_report_when_not_installed():
-    if waitfor.installed():
-        pytest.skip("suite runs with REPRO_WAITFOR=1")
+def test_report_when_not_installed(disarmed):
     assert waitfor.report() == {"installed": False}
     assert waitfor.stats() == {"installed": False}
     assert waitfor.idle_report() is None

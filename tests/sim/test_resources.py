@@ -54,6 +54,18 @@ class TestResource:
         assert high.triggered
         assert not low.triggered
 
+        # Three equal-priority waiters behind a higher-priority one (and
+        # ahead of nothing but `low`) are granted FIFO among themselves.
+        urgent = resource.request(priority=2)
+        ties = [resource.request(priority=3) for _ in range(3)]
+        granted = []
+        holder = high
+        for _ in range(5):
+            resource.release(holder)
+            (holder,) = resource.users
+            granted.append(holder)
+        assert granted == [urgent, *ties, low]
+
     def test_count_tracks_users(self, env):
         resource = Resource(env, capacity=3)
         requests = [resource.request() for _ in range(2)]

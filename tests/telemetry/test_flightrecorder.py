@@ -241,16 +241,17 @@ def test_profiler_event_counts_are_deterministic():
 
 
 def test_profiler_install_uninstall_idempotent_and_restores_engine():
-    from repro.sim.scheduler import Environment as Engine
+    from repro.sim import scheduler
 
-    orig_step, orig_run = Engine.step, Engine.run
+    others = scheduler.OBSERVERS
     first = profiler_module.install()
     again = profiler_module.install()
     assert first is again
     assert profiler_module.installed()
+    assert scheduler.OBSERVERS == others + (first,)
     profiler_module.uninstall()
     assert profiler_module.uninstall() is None
-    assert Engine.step is orig_step and Engine.run is orig_run
+    assert scheduler.OBSERVERS == others
     assert not profiler_module.installed()
 
 
@@ -264,8 +265,7 @@ def test_profiler_composes_with_sanitizer():
         assert _tiny_sim() == 5
     finally:
         profiler_module.uninstall()
-        # Leave a suite-wide REPRO_SANITIZE=1 arming in place — and
-        # never uninstall out of order under a REPRO_WAITFOR=1 layer.
+        # Leave a suite-wide REPRO_SANITIZE=1 arming in place.
         if not had_sanitizer:
             sanitizer.uninstall()
     assert profiler.events_total > 0
