@@ -159,6 +159,11 @@ class ClusterOrchestrator:
         """The *up* hosts currently in ``rack`` (registration order)."""
         return tuple(self._racks.get(rack, {}).values())
 
+    def rack_size(self, rack: str) -> int:
+        """How many *up* hosts ``rack`` has: ``len(rack_hosts(rack))``
+        in O(1), without building the tuple."""
+        return len(self._racks.get(rack, ()))
+
     def rack_load(self, rack: str) -> int:
         return self._rack_load.get(rack, 0)
 

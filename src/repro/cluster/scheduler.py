@@ -98,7 +98,9 @@ class RackAwareStrategy:
 
     Cost per submit is O(#racks + rack size) against the orchestrator's
     incrementally-maintained shard counters — it does not scan the fleet,
-    so placement cost stops scaling with host count (DESIGN.md §15).  A
+    so placement cost stops scaling with host count (DESIGN.md §15).  Only
+    the chosen rack's host list is built; the others are ranked by their
+    O(1) up-host count and load.  A
     ``rack`` label on the spec pins the choice to that rack.  Without a
     bound cluster (``RackAwareStrategy()``), falls back to spreading over
     the offered candidates.
@@ -123,7 +125,7 @@ class RackAwareStrategy:
         best_rack = None
         best_key = None
         for rack in racks:
-            up = len(cluster.rack_hosts(rack))
+            up = cluster.rack_size(rack)
             if up == 0:
                 continue
             key = (cluster.rack_load(rack) / up, rack)

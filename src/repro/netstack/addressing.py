@@ -12,8 +12,9 @@ or manually assigned by containers' configurations").
 
 from __future__ import annotations
 
+import heapq
 import ipaddress
-from typing import Iterator, Optional
+from typing import Optional
 
 from ..errors import AddressError, AddressExhausted
 
@@ -26,6 +27,14 @@ class IpPool:
     Addresses are handed out in order, lowest-free-first, and released
     addresses are reused — matching the behaviour of the DHCP-style agent
     allocation the paper describes.
+
+    Allocation never scans the subnet.  Every address at or above an
+    integer high-water cursor that is not pinned is free; a free address
+    below the cursor sits on a min-heap of released addresses.  The lowest
+    free address is therefore the heap's smallest live entry, or else the
+    cursor itself, so ``allocate()`` costs O(log released) whatever the
+    pool's size.  Heap entries pinned again through ``allocate(requested)``
+    go stale and are skipped when popped.
     """
 
     def __init__(self, cidr: str = "10.32.0.0/16") -> None:
@@ -35,13 +44,22 @@ class IpPool:
             raise AddressError(f"bad CIDR {cidr!r}: {exc}") from exc
         if self.network.num_addresses < 4:
             raise AddressError(f"subnet {cidr} too small for allocation")
-        self._allocated: set[str] = set()
+        #: address text -> its integer value, for every live address.
+        self._allocated: dict[str, int] = {}
         # Reserve network and broadcast addresses plus the gateway (.1).
         self._reserved = {
             str(self.network.network_address),
             str(self.network.broadcast_address),
             str(self.network.network_address + 1),
         }
+        #: IPv4Address or IPv6Address: builds an address from its integer.
+        self._address = type(self.network.network_address)
+        #: Next never-handed-out address; the assignable range ends at
+        #: ``_last``, just below broadcast (the reserved three lie outside).
+        self._cursor = int(self.network.network_address) + 2
+        self._last = int(self.network.broadcast_address) - 1
+        #: Released addresses below the cursor (may hold stale entries).
+        self._free: list[int] = []
 
     @property
     def cidr(self) -> str:
@@ -66,36 +84,52 @@ class IpPool:
         except ValueError:
             return False
 
-    def _candidates(self) -> Iterator[str]:
-        for address in self.network.hosts():
-            text = str(address)
-            if text not in self._reserved:
-                yield text
-
     def allocate(self, requested: Optional[str] = None) -> str:
-        """Grab a free address (or pin ``requested`` if it is free)."""
+        """Grab a free address (or pin ``requested`` if it is free).
+
+        A pinned address is stored and returned in canonical form, so
+        ``"fd00:0::5"`` and ``"fd00::5"`` name the same lease.
+        """
+        allocated = self._allocated
         if requested is not None:
-            if requested not in self:
+            try:
+                address = ipaddress.ip_address(requested)
+            except ValueError:
+                address = None
+            if address is None or address not in self.network:
                 raise AddressError(
                     f"{requested} is outside the overlay subnet {self.cidr}"
                 )
-            if requested in self._reserved:
+            text = str(address)
+            if text in self._reserved:
                 raise AddressError(f"{requested} is reserved")
-            if requested in self._allocated:
+            if text in allocated:
                 raise AddressError(f"{requested} is already allocated")
-            self._allocated.add(requested)
-            return requested
-        for candidate in self._candidates():
-            if candidate not in self._allocated:
-                self._allocated.add(candidate)
-                return candidate
+            allocated[text] = int(address)
+            return text
+        free = self._free
+        while free:
+            value = heapq.heappop(free)
+            text = str(self._address(value))
+            if text not in allocated:
+                allocated[text] = value
+                return text
+        while self._cursor <= self._last:
+            value = self._cursor
+            self._cursor = value + 1
+            text = str(self._address(value))
+            if text not in allocated:
+                allocated[text] = value
+                return text
         raise AddressExhausted(f"no free addresses in {self.cidr}")
 
     def release(self, ip: str) -> None:
         """Return an address to the pool."""
-        if ip not in self._allocated:
+        value = self._allocated.pop(ip, None)
+        if value is None:
             raise AddressError(f"{ip} was not allocated from {self.cidr}")
-        self._allocated.remove(ip)
+        if value < self._cursor:
+            heapq.heappush(self._free, value)
 
 
 class OverlaySubnets:

@@ -193,7 +193,7 @@ class StreamingSeries:
 
     __slots__ = (
         "_count", "_total", "_min", "_max",
-        "_capacity", "_reservoir", "_rng", "_sorted",
+        "_capacity", "_reservoir", "_seed", "_rng", "_sorted",
     )
 
     #: Default reservoir size: percentile error ~1/sqrt(1024) ≈ 3%.
@@ -209,8 +209,11 @@ class StreamingSeries:
         self._capacity = reservoir
         self._reservoir: list[float] = []
         # Replacement draws come from a seeded repro.sim.rand stream
-        # (SIM001): identical runs keep identical reservoirs.
-        self._rng = RandomStream(seed, "reservoir")
+        # (SIM001): identical runs keep identical reservoirs.  The stream
+        # is built on the first overflow: most series never fill, and its
+        # first draw is the same whenever it is built.
+        self._seed = seed
+        self._rng: Optional[RandomStream] = None
         self._sorted: Optional[list[float]] = None
 
     def __len__(self) -> int:
@@ -235,7 +238,10 @@ class StreamingSeries:
         else:
             # Algorithm R: keep each of the n samples with equal
             # probability k/n by replacing a random slot.
-            j = self._rng.randrange(self._count)
+            rng = self._rng
+            if rng is None:
+                rng = self._rng = RandomStream(self._seed, "reservoir")
+            j = rng.randrange(self._count)
             if j < self._capacity:
                 reservoir[j] = sample
             else:

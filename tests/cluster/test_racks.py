@@ -1,6 +1,8 @@
 """Rack-sharded orchestration: topology, incremental load accounting,
 rack-aware placement and lease-backed host liveness."""
 
+import random
+
 import pytest
 
 from repro.cluster import (
@@ -9,7 +11,7 @@ from repro.cluster import (
     RackAwareStrategy,
 )
 from repro.cluster.orchestrator import DEFAULT_RACK
-from repro.errors import OrchestrationError, PlacementError
+from repro.errors import OrchestrationError, PlacementError, UnknownContainer
 from repro.hardware import Host
 from repro.sim import Environment
 
@@ -122,6 +124,105 @@ class TestRackAwarePlacement:
         cluster = ClusterOrchestrator(env, strategy=strategy)
         cluster.add_host(Host(env, "h1"))
         assert cluster.submit(ContainerSpec("a")).host.name == "h1"
+
+    def test_rack_size_counts_up_hosts(self, env):
+        cluster = build(env)
+        assert cluster.rack_size("r0") == 2
+        cluster.fail_host("h0")
+        assert cluster.rack_size("r0") == len(cluster.rack_hosts("r0")) == 1
+        assert cluster.rack_size("nope") == 0
+
+
+class NaiveRackAware:
+    """Reference placement: rank racks by scanning ``rack_hosts()``."""
+
+    def __init__(self, cluster):
+        self.cluster = cluster
+
+    def place(self, spec, hosts, load):
+        pinned = spec.labels.get("rack")
+        racks = (pinned,) if pinned is not None else self.cluster.rack_names()
+        ranked = [
+            (self.cluster.rack_load(rack) / len(self.cluster.rack_hosts(rack)),
+             rack)
+            for rack in racks if self.cluster.rack_hosts(rack)
+        ]
+        if not ranked:
+            raise PlacementError("no rack with live hosts")
+        rack = min(ranked)[1]
+        return min(self.cluster.rack_hosts(rack),
+                   key=lambda h: (load.get(h.name, 0), h.name))
+
+
+class TestRackAwareMatchesReference:
+    """Random submit / stop / fail / recover programs place every container
+    on the host a naive scan over ``rack_hosts()`` picks."""
+
+    HOSTS, RACKS = 11, 4
+
+    def _fleet(self, strategy):
+        env = Environment()
+        cluster = ClusterOrchestrator(env, strategy=strategy)
+        strategy.cluster = cluster
+        for i in range(self.HOSTS):
+            cluster.add_host(Host(env, f"h{i}"), rack=f"r{i % self.RACKS}")
+        return cluster
+
+    @staticmethod
+    def _apply(cluster, op):
+        kind, arg = op
+        try:
+            if kind == "submit":
+                name, labels = arg
+                return cluster.submit(ContainerSpec(name, labels=labels)).host.name
+            if kind == "stop":
+                return cluster.stop(arg)
+            if kind == "fail":
+                return cluster.fail_host(arg)
+            return cluster.recover_host(arg)
+        except (PlacementError, UnknownContainer) as exc:
+            return type(exc).__name__
+
+    def _program(self, rng, steps=120):
+        ops, names, down = [], [], set()
+        for step in range(steps):
+            roll = rng.random()
+            if step == steps // 2:
+                # Take rack r1 down entirely, then pin a submit to it.
+                for i in range(1, self.HOSTS, self.RACKS):
+                    if f"h{i}" not in down:
+                        down.add(f"h{i}")
+                        ops.append(("fail", f"h{i}"))
+                ops.append(("submit", (f"c{step}", {"rack": "r1"})))
+            elif roll < 0.6:
+                labels = {}
+                if rng.random() < 0.2:
+                    labels = {"rack": f"r{rng.randrange(self.RACKS)}"}
+                names.append(f"c{step}")
+                ops.append(("submit", (f"c{step}", labels)))
+            elif roll < 0.75 and names:
+                ops.append(("stop", names.pop(rng.randrange(len(names)))))
+            elif roll < 0.88:
+                host = f"h{rng.randrange(self.HOSTS)}"
+                if host not in down:
+                    down.add(host)
+                    ops.append(("fail", host))
+            elif down:
+                host = sorted(down)[rng.randrange(len(down))]
+                down.discard(host)
+                ops.append(("recover", host))
+        return ops
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_same_host_sequence(self, seed):
+        ops = self._program(random.Random(seed))
+        fast = self._fleet(RackAwareStrategy())
+        naive = self._fleet(NaiveRackAware(None))
+        results = []
+        for op in ops:
+            results.append(self._apply(fast, op))
+            assert results[-1] == self._apply(naive, op), op
+        assert "PlacementError" in results  # the submit pinned to dead r1
 
 
 class TestLeaseBackedLiveness:

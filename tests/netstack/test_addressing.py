@@ -24,6 +24,14 @@ class TestIpPool:
         pool.release(first)
         assert pool.allocate() == first
 
+    def test_repinned_release_is_not_handed_out_again(self):
+        pool = IpPool("10.32.0.0/24")
+        for _ in range(3):
+            pool.allocate()
+        pool.release("10.32.0.3")
+        assert pool.allocate("10.32.0.3") == "10.32.0.3"
+        assert pool.allocate() == "10.32.0.5"
+
     def test_release_unallocated_raises(self):
         pool = IpPool("10.32.0.0/24")
         with pytest.raises(AddressError):
@@ -62,6 +70,20 @@ class TestIpPool:
     def test_tiny_subnet_rejected(self):
         with pytest.raises(AddressError):
             IpPool("10.0.0.0/31")
+
+    def test_pinned_address_is_canonicalised(self):
+        pool = IpPool("fd00::/120")
+        assert pool.allocate("fd00:0::5") == "fd00::5"
+        assert pool.allocated == {"fd00::5"}
+        # The pin blocks every spelling of the address, and automatic
+        # allocation steps over it instead of handing it out twice.
+        with pytest.raises(AddressError):
+            pool.allocate("fd00::5")
+        assert [pool.allocate() for _ in range(4)] == [
+            "fd00::2", "fd00::3", "fd00::4", "fd00::6"]
+        pool.release("fd00::5")
+        assert "fd00::5" not in pool.allocated
+        assert pool.allocate() == "fd00::5"
 
     def test_allocated_snapshot_is_frozen(self):
         pool = IpPool("10.32.0.0/24")

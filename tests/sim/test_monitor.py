@@ -211,6 +211,32 @@ class TestStreamingSeries:
             b.add(value)
         assert a.samples == b.samples
 
+    def test_rng_created_on_first_overflow(self):
+        from repro.sim import StreamingSeries
+
+        series = StreamingSeries(reservoir=8)
+        series.extend(range(8))
+        assert series._rng is None
+        series.add(8.0)
+        assert series._rng is not None
+
+    def test_reservoir_matches_eager_algorithm_r(self):
+        from repro.sim import RandomStream, StreamingSeries
+
+        capacity, n = StreamingSeries.DEFAULT_RESERVOIR, 10_000
+        series = StreamingSeries()
+        rng = RandomStream(0x5EED, "reservoir")
+        reservoir = []
+        for count, value in enumerate(range(n), 1):
+            series.add(value)
+            if len(reservoir) < capacity:
+                reservoir.append(float(value))
+            else:
+                j = rng.randrange(count)
+                if j < capacity:
+                    reservoir[j] = float(value)
+        assert series.samples == reservoir
+
     def test_million_samples_bounded_memory(self):
         # Acceptance: a 1M-sample stream must not grow memory linearly —
         # the reservoir stays at its fixed capacity while the exact
