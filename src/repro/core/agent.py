@@ -127,9 +127,9 @@ class RelayLane(Lane):
         self.dst_ring = Tank(self.env, capacity=dst_shm.ring_bytes)
         src_agent.host.memory.allocate(src_shm.ring_bytes)
         dst_agent.host.memory.allocate(dst_shm.ring_bytes)
-        self._tx: Store = Store(self.env)
-        self.env.process(self._agent_tx_worker())
-        self.env.process(self._agent_rx_worker())
+        #: The agent tx worker's queue, created with the worker by the
+        #: first send (see :meth:`Lane._hand_off`).
+        self._tx: Optional[Store] = None
 
     # -- container-side send --------------------------------------------------------
 
@@ -165,15 +165,18 @@ class RelayLane(Lane):
         yield self.env.timeout(self.src_spec.notify_latency_s)
         if trace is not None:
             trace.add("kernel", mark, self.env.now)
-        self._tx.put(message)
+        if self._tx is None:
+            # The rx worker only parks on the backing lane's inbox, so
+            # its start event schedules nothing.
+            self.env.process(self._agent_rx_worker())
+        self._tx = self._hand_off(self._tx, self._agent_tx_worker, message)
         return message
 
     # -- agent relay stages ------------------------------------------------------------
 
-    def _agent_tx_worker(self):
+    def _agent_tx_worker(self, message: "Message"):
         """Sender-side agent: ring → backing transport."""
         while True:
-            message = yield self._tx.get()
             trace = self._trace_of(message)
             if not self.src_agent.zero_copy:
                 # Conventional proxy: copy out of the ring first.
@@ -189,6 +192,7 @@ class RelayLane(Lane):
             yield self.src_ring.get(max(1, message.size_bytes))
             self.src_agent.stats.messages_relayed += 1
             self.src_agent.stats.bytes_relayed += message.size_bytes
+            message = yield self._tx.get()
 
     def _agent_rx_worker(self):
         """Receiver-side agent: backing transport → ring → container."""

@@ -122,8 +122,13 @@ class ConnectionEnd:
     Applications hold this object; it resolves the live channel on every
     call, honours the connection's pause gate, and transparently retries
     a receive that was ejected by a channel swap — which is what keeps
-    connections alive across live migrations (paper §7).
+    connections alive across live migrations (paper §7).  It is
+    stateless: :attr:`FlowConnection.a`/``.b`` build one per access, so
+    the connection holds no reference back to it and a closed flow is
+    freed by reference counting, without the cycle collector.
     """
+
+    __slots__ = ("_connection", "_side")
 
     def __init__(self, connection: "FlowConnection", side: str) -> None:
         if side not in ("a", "b"):
@@ -190,14 +195,22 @@ class FlowConnection:
         self.state = (
             FlowState.ACTIVE if channel is not None else FlowState.RESOLVING
         )
-        self.a = ConnectionEnd(self, "a")
-        self.b = ConnectionEnd(self, "b")
         self._paused = False
         self._resume_event = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<FlowConnection {self.flow_id} {self.state.value} "
                 f"gen={self.generation}>")
+
+    @property
+    def a(self) -> ConnectionEnd:
+        """The source endpoint's facade."""
+        return ConnectionEnd(self, "a")
+
+    @property
+    def b(self) -> ConnectionEnd:
+        """The destination endpoint's facade."""
+        return ConnectionEnd(self, "b")
 
     @property
     def mechanism(self) -> Mechanism:

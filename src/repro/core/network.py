@@ -104,6 +104,10 @@ class FreeFlowNetwork:
         self._agents: dict[str, FreeFlowAgent] = {}
         self._vnics: dict[str, VirtualNic] = {}
         self._cache: dict[tuple[str, str], tuple[PolicyDecision, float]] = {}
+        #: name -> the cached pairs it is an endpoint of (dict as an
+        #: ordered set), so invalidating one endpoint touches only its
+        #: own entries instead of scanning the whole cache.
+        self._cache_pairs: dict[str, dict[tuple[str, str], None]] = {}
         #: The flow-lifecycle subsystem (see repro.core.flows).
         self.flows = FlowTable(self.env)
         self.factory = ChannelFactory(self)
@@ -190,13 +194,21 @@ class FreeFlowNetwork:
                      reason=decision.reason)
         if self.cache_ttl_s > 0:
             self._cache[key] = (decision, self.env.now + self.cache_ttl_s)
+            pairs = self._cache_pairs
+            for name in key:
+                pairs.setdefault(name, {})[key] = None
         return decision
 
     def invalidate(self, name: str) -> None:
         """Drop every cached decision involving ``name`` (migration)."""
-        stale = [k for k in self._cache if name in k]
-        for key in stale:
+        for key in self._cache_pairs.pop(name, ()):
             del self._cache[key]
+            for other in key:
+                if other != name:
+                    pairs = self._cache_pairs[other]
+                    del pairs[key]
+                    if not pairs:
+                        del self._cache_pairs[other]
 
     def enable_auto_invalidation(self) -> None:
         """Invalidate cached decisions whenever a container's published

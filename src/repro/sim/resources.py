@@ -26,6 +26,11 @@ Queued waiters always win over a newcomer — the fast path is only taken
 when the relevant wait queue is empty, so FIFO ordering and the
 no-starvation property are preserved exactly (see
 ``tests/sim/test_resources.py::TestStoreFastPath``).
+
+The wait queues are plain lists, not deques: an empty ``deque``
+preallocates a 64-slot block (~760 B), an idle flow owns a dozen
+stores and tanks, and a wait queue almost never holds more than one
+waiter, so ``pop(0)`` costs what ``popleft()`` did.
 """
 
 from __future__ import annotations
@@ -260,8 +265,8 @@ class Store:
         self.label = label
         self.capacity = capacity
         self.items: Deque[Any] = deque()
-        self._put_queue: Deque[StorePut] = deque()
-        self._get_queue: Deque[StoreGet] = deque()
+        self._put_queue: list[StorePut] = []
+        self._get_queue: list[StoreGet] = []
 
     def __len__(self) -> int:
         return len(self.items)
@@ -312,7 +317,7 @@ class Store:
             progressed = False
             # Admit puts while capacity allows.
             while self._put_queue and len(self.items) < self.capacity:
-                put = self._put_queue.popleft()
+                put = self._put_queue.pop(0)
                 self.items.append(put.item)
                 put.succeed()
                 progressed = True
@@ -393,8 +398,8 @@ class Tank:
         self.label = label
         self.capacity = capacity
         self._level = float(initial)
-        self._puts: Deque[TankPut] = deque()
-        self._gets: Deque[TankGet] = deque()
+        self._puts: list[TankPut] = []
+        self._gets: list[TankGet] = []
 
     @property
     def level(self) -> float:
@@ -446,14 +451,14 @@ class Tank:
             if self._puts:
                 put = self._puts[0]
                 if self._level + put.amount <= self.capacity:
-                    self._puts.popleft()
+                    self._puts.pop(0)
                     self._level += put.amount
                     put.succeed()
                     progressed = True
             if self._gets:
                 get = self._gets[0]
                 if self._level >= get.amount:
-                    self._gets.popleft()
+                    self._gets.pop(0)
                     self._level -= get.amount
                     get.succeed()
                     progressed = True

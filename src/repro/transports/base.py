@@ -136,6 +136,24 @@ class Lane:
         """Push one message into the lane (generator). Must be overridden."""
         raise NotImplementedError
 
+    def _hand_off(self, queue: Optional[Store], worker: Callable,
+                  message: Message) -> Store:
+        """Queue ``message`` for ``worker`` and return the queue to keep.
+
+        ``worker`` takes its first message as an argument, then drains
+        the queue.  With no queue yet, it starts on ``message``: an idle
+        lane owns no process and schedules no event.  The start event
+        takes the ready-queue slot a parked worker's wake-up would have
+        taken, so event order is unchanged.  A worker that took its first
+        message with a ``get`` would run one hop later and reorder
+        same-instant events.
+        """
+        if queue is None:
+            self.env.process(worker(message))
+            return Store(self.env)
+        queue.put(message)
+        return queue
+
     def deliver(self, message: Message) -> None:
         """Final step: timestamp, account and enqueue at the receiver."""
         message.delivered_at = self.env.now

@@ -52,10 +52,10 @@ class RdmaLane(Lane):
         self.src_host = src_host
         self.dst_host = dst_host
         self.window = Tank(src_host.env, capacity=window_bytes)
-        self._sq: Store = Store(src_host.env)
-        self._rx: Store = Store(src_host.env)
-        src_host.env.process(self._nic_tx_worker())
-        src_host.env.process(self._nic_rx_worker())
+        #: The NIC workers' queues, created with their workers by the
+        #: first message (see :meth:`Lane._hand_off`).
+        self._sq: Optional[Store] = None
+        self._rx: Optional[Store] = None
 
     @property
     def loopback(self) -> bool:
@@ -77,7 +77,7 @@ class RdmaLane(Lane):
         yield self.window.put(max(1, nbytes))
         if trace is not None:
             trace.add("queue", mark, self.env.now)
-        self._sq.put(message)
+        self._sq = self._hand_off(self._sq, self._nic_tx_worker, message)
         return message
 
     def recv(self):
@@ -96,11 +96,10 @@ class RdmaLane(Lane):
 
     # -- NIC pipeline -----------------------------------------------------------------
 
-    def _nic_tx_worker(self):
+    def _nic_tx_worker(self, message: "Message"):
         """The source NIC servicing this queue pair, in order."""
         nic = self.src_host.nic
         while True:
-            message = yield self._sq.get()
             trace = self._trace_of(message)
             mark = self.env.now
             yield from nic.engine_service(message.size_bytes)
@@ -112,6 +111,7 @@ class RdmaLane(Lane):
                 # overlapped DMA/wire barrier below resolves.
                 message.meta["wire_start"] = self.env.now
             yield from self._dma_and_wire(message)
+            message = yield self._sq.get()
 
     def _dma_and_wire(self, message: "Message"):
         """Overlap host-memory DMA with wire serialisation (cut-through)."""
@@ -151,13 +151,12 @@ class RdmaLane(Lane):
             start = message.meta.pop("wire_start", None)
             if start is not None:
                 trace.add("wire", start, self.env.now)
-        self._rx.put(message)
+        self._rx = self._hand_off(self._rx, self._nic_rx_worker, message)
 
-    def _nic_rx_worker(self):
+    def _nic_rx_worker(self, message: "Message"):
         """The destination NIC landing inbound messages into memory."""
         nic = self.dst_host.nic
         while True:
-            message = yield self._rx.get()
             trace = self._trace_of(message)
             mark = self.env.now
             yield from nic.engine_service(message.size_bytes)
@@ -166,6 +165,7 @@ class RdmaLane(Lane):
             if trace is not None:
                 trace.add("nic", mark, self.env.now)
             self.deliver(message)
+            message = yield self._rx.get()
 
 
 class RdmaChannel(DuplexChannel):
