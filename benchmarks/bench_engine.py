@@ -32,6 +32,8 @@ import json
 import platform
 import sys
 from pathlib import Path
+# Wall-clock time is what the benchmark measures.
+# simlint: disable=SIM001
 from time import perf_counter
 
 from repro.hardware import Fabric, Host

@@ -29,6 +29,8 @@ import json
 import platform
 import sys
 from pathlib import Path
+# Wall-clock time is what the benchmark measures.
+# simlint: disable=SIM001
 from time import perf_counter
 
 from repro import ContainerSpec, quickstart_cluster
@@ -69,7 +71,8 @@ def run_cycles(flows_n: int, cycles: int, probes: int = 5) -> dict:
             started = env.now
             cluster.fail_host(victim)  # nobody calls handle_host_failure
             yield from network.reconciler.wait_settled()
-            assert all(f.state is FlowState.BROKEN for f in flows)
+            if any(f.state is not FlowState.BROKEN for f in flows):
+                raise RuntimeError("a flow outlived its host unbroken")
             break_sim_s.append(env.now - started)
 
             started = env.now

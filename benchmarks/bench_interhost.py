@@ -14,13 +14,12 @@ from repro.baselines import (
     OverlayModeNetwork,
     RawRdmaNetwork,
 )
-from repro.transports import DpdkChannel, DpdkEngine
+from repro.transports import DpdkChannel
 
 from common import fmt_table, pingpong, record, stream, make_testbed
 
 
 def _interhost(kind: str):
-    DpdkEngine._BY_HOST.clear()
     env, cluster, network = make_testbed(hosts=2)
     hosts = [cluster.host("host0"), cluster.host("host1")]
     a = cluster.submit(ContainerSpec("a", pinned_host="host0"))

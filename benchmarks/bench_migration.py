@@ -6,11 +6,13 @@ downtime, pre-copy rounds and the GET latency before/after (the
 mechanism flips from shared memory to RDMA when the pair splits).
 """
 
+import math
+
 import pytest
 
 from repro import ContainerSpec
 from repro.core import MigrationController
-from repro.sim.monitor import Series
+from repro.sim.monitor import StreamingSeries
 from repro.workloads import KeyValueStoreApp
 
 from common import fmt_table, record, make_testbed
@@ -33,7 +35,7 @@ def _migrate_under_load(state_mb: float):
     def scenario():
         client = yield from app.client(client_c)
         yield from client.put(1, "x")
-        before = Series()
+        before = StreamingSeries(reservoir=math.inf)
         for _ in range(50):
             started = env.now
             yield from client.get(1)
@@ -42,7 +44,7 @@ def _migrate_under_load(state_mb: float):
             "kv", "host1",
             state_bytes=state_mb * 1e6, dirty_rate_bytes=DIRTY_RATE,
         )
-        after = Series()
+        after = StreamingSeries(reservoir=math.inf)
         for _ in range(50):
             started = env.now
             yield from client.get(1)

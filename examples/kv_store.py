@@ -10,8 +10,10 @@ matter for the FaRM/Cassandra class of systems the paper cites.
 Run:  python examples/kv_store.py
 """
 
+import math
+
 from repro import ContainerSpec, quickstart_cluster
-from repro.sim.monitor import Series
+from repro.sim.monitor import StreamingSeries
 from repro.workloads import KeyValueStoreApp
 
 
@@ -43,7 +45,7 @@ def main() -> None:
         for _ in range(operations):
             yield from client.random_get()
         samples = app.get_latencies.samples[before:]
-        series = Series()
+        series = StreamingSeries(reservoir=math.inf)
         series.extend(samples)
         stats[name] = series
         yield from client.close()

@@ -10,9 +10,11 @@ breaks, but its GET latency changes because the mechanism changed
 Run:  python examples/live_migration.py
 """
 
+import math
+
 from repro import ContainerSpec, quickstart_cluster
 from repro.core import MigrationController
-from repro.sim.monitor import Series
+from repro.sim.monitor import StreamingSeries
 from repro.workloads import KeyValueStoreApp
 
 STATE_BYTES = 512e6      # container memory image
@@ -29,7 +31,8 @@ def main() -> None:
     app = KeyValueStoreApp(network, server, value_bytes=4096)
     controller = MigrationController(network)
 
-    before, after = Series(), Series()
+    before = StreamingSeries(reservoir=math.inf)
+    after = StreamingSeries(reservoir=math.inf)
     report_box = {}
 
     def scenario():
@@ -53,7 +56,8 @@ def main() -> None:
         report_box["report"] = report
 
         value = yield from client.get(1)
-        assert value == "durable", "data must survive the move"
+        if value != "durable":
+            raise RuntimeError(f"data must survive the move, read {value!r}")
         for _ in range(100):
             started = env.now
             yield from client.get(1)

@@ -11,8 +11,10 @@ end-to-end latency and which mechanism each tier-to-tier hop got.
 Run:  python examples/web_service.py
 """
 
+import math
+
 from repro import ContainerSpec, quickstart_cluster
-from repro.sim.monitor import Series
+from repro.sim.monitor import StreamingSeries
 from repro.sim.rand import RandomStream
 
 REQUESTS = 300
@@ -51,7 +53,7 @@ def main() -> None:
               f"({connection.decision.reason})")
 
     rng = RandomStream(7, "webservice")
-    latencies = Series()
+    latencies = StreamingSeries(reservoir=math.inf)
 
     def backend(name):
         """cache/db servers: answer every request on every connection."""

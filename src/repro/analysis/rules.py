@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import ast
 import re
+from fnmatch import fnmatch
 from typing import Iterator, Optional
 
 from .core import Finding, LintContext
@@ -798,8 +799,12 @@ def force_active(table, flow, state):
 class BareAssertRule(Rule):
     """``assert`` statements are compiled away under ``python -O``, so
     a library invariant guarded by one silently stops being checked in
-    optimized runs.  Raise a typed error from :mod:`repro.errors`
-    (tests are exempt — pytest rewrites their asserts)."""
+    optimized runs.  Raise a typed error from :mod:`repro.errors`.
+
+    Tests are exempt, because pytest rewrites their asserts: everything
+    under ``tests/``, and the ``test*`` functions of any other file
+    pytest collects (the bench scripts' pytest entry points).  A bench
+    script's helpers also run as a plain program, so they are not."""
 
     code = "SIM007"
     summary = ("bare assert vanishes under python -O — raise a typed "
@@ -817,9 +822,19 @@ def reserve(nbytes):
     return nbytes
 """
 
+    #: Module names pytest collects (pyproject ``python_files``).
+    PYTEST_FILES = ("test_*.py", "bench_*.py")
+
     def check(self, tree, path, lines, ctx):
         if _in_tests(path):
             return []
+        rewritten: set = set()
+        name = path.rpartition("/")[2]
+        if any(fnmatch(name, pattern) for pattern in self.PYTEST_FILES):
+            for fn in ast.walk(tree):
+                if (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and fn.name.startswith("test")):
+                    rewritten.update(id(node) for node in ast.walk(fn))
         return [
             self.finding(
                 path, node,
@@ -827,7 +842,7 @@ def reserve(nbytes):
                 "python -O and names no invariant; raise the matching "
                 "repro.errors type instead", lines)
             for node in ast.walk(tree)
-            if isinstance(node, ast.Assert)
+            if isinstance(node, ast.Assert) and id(node) not in rewritten
         ]
 
 

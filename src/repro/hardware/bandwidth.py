@@ -93,14 +93,6 @@ class BandwidthPipe:
         """Time-weighted mean occupancy in [0, lanes]."""
         return self._busy.mean()
 
-    def achieved_rate(self, since: float, now: float | None = None) -> float:
-        """Rough delivered rate over a window — callers usually compute
-        this from their own byte counters instead."""
-        end = self.env.now if now is None else now
-        if end <= since:
-            return 0.0
-        return self._bytes_moved / (end - since)
-
     def reset_accounting(self) -> None:
         self._busy.reset()
         self._bytes_moved = 0.0

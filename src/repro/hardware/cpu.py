@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from ..sim.monitor import IntervalRecorder
+from ..sim.monitor import TimeWeighted
 from ..sim.resources import Request, Resource
 from .specs import CpuSpec
 
@@ -38,7 +38,7 @@ class CoreClaim:
             return
         self._released = True
         self._request.cancel()
-        self._cpu.recorder.idle()
+        self._cpu.busy.add(-1)
 
 
 class CpuSet:
@@ -54,7 +54,9 @@ class CpuSet:
         self.env = env
         self.spec = spec or CpuSpec()
         self._cores = Resource(env, capacity=self.spec.cores)
-        self.recorder = IntervalRecorder(env)
+        #: Busy-core count over time; its time-weighted mean is the
+        #: utilisation (1.0 == one core burning).
+        self.busy = TimeWeighted(env)
 
     @property
     def cores(self) -> int:
@@ -63,7 +65,7 @@ class CpuSet:
     @property
     def busy_cores(self) -> float:
         """How many cores are busy right now."""
-        return self.recorder.active
+        return self.busy.value
 
     def seconds_for(self, cycles: float) -> float:
         """Wall time for ``cycles`` on one core (no queueing)."""
@@ -81,24 +83,11 @@ class CpuSet:
             return
         with self._cores.request(priority=priority) as claim:
             yield claim
-            self.recorder.busy()
+            self.busy.add(1)
             try:
                 yield self.env.timeout(self.seconds_for(cycles))
             finally:
-                self.recorder.idle()
-
-    def hold(self, seconds: float, priority: int = 0):
-        """Occupy one core for a fixed wall time (for stall-dominated work
-        such as memcpy waiting on the memory bus)."""
-        if seconds < 0:
-            raise ValueError(f"negative seconds {seconds}")
-        with self._cores.request(priority=priority) as claim:
-            yield claim
-            self.recorder.busy()
-            try:
-                yield self.env.timeout(seconds)
-            finally:
-                self.recorder.idle()
+                self.busy.add(-1)
 
     def dedicate(self) -> CoreClaim:
         """Permanently claim a core (DPDK PMD thread).
@@ -113,16 +102,16 @@ class CpuSet:
             raise RuntimeError(
                 f"no free core to dedicate ({self._cores.count}/{self.cores} busy)"
             )
-        self.recorder.busy()
+        self.busy.add(1)
         return CoreClaim(self, request)
 
     def utilisation(self) -> float:
         """Mean busy cores over the measurement window (1.0 = one core)."""
-        return self.recorder.utilisation()
+        return self.busy.mean()
 
     def utilisation_percent(self) -> float:
         """Paper-style CPU usage: 200.0 means two cores' worth."""
-        return self.recorder.utilisation_percent()
+        return 100.0 * self.busy.mean()
 
     def reset_accounting(self) -> None:
-        self.recorder.reset()
+        self.busy.reset()

@@ -1,23 +1,18 @@
 """Physical network fabric: links between hosts through a switch.
 
-The default model is a non-blocking switch (standard for a managed
-datacenter fabric, which the paper assumes: "deployed over managed
-network fabrics") with store-and-forward latency.  Each host's NIC
-contributes its own egress and ingress pipes, so the bottlenecks are the
-end links — which is where 40 Gb/s RDMA tops out — while the fabric core
-never congests.
-
-An optional **two-tier mode** models rack oversubscription: assign NICs
-to racks with :meth:`Fabric.assign_rack` and give the fabric a shared
-``core_rate_bps``; cross-rack traffic then also traverses the contended
-core pipe (plus one more switch hop), while intra-rack traffic keeps the
-non-blocking path.  This is what makes rack-locality experiments (bench
-E22) possible.
+The model is a non-blocking switch (standard for a managed datacenter
+fabric, which the paper assumes: "deployed over managed network
+fabrics") with store-and-forward latency.  Each host's NIC contributes
+its own egress and ingress pipes, so the bottlenecks are the end links —
+which is where 40 Gb/s RDMA tops out — while the fabric core never
+congests.  Oversubscribed racks and a contended core are the fat-tree
+subclass's job (:class:`~repro.hardware.topology.FatTreeFabric`, e.g.
+``core_rate_scale=0.25``).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable
 
 from ..telemetry import registry as _registry
 
@@ -36,8 +31,6 @@ class Fabric:
         env: "Environment",
         switch_latency_s: float = 0.6e-6,
         propagation_s: float = 0.4e-6,
-        core_rate_bps: "float | None" = None,
-        core_chunk_bytes: int = 64 * 1024,
     ) -> None:
         self.env = env
         self.switch_latency_s = switch_latency_s
@@ -47,21 +40,10 @@ class Fabric:
         #: from one source are processed strictly in order, so a small
         #: message can never overtake a large one on the same path.
         self._landing: dict[tuple[int, int], object] = {}
-        #: Optional two-tier mode: rack membership + shared core pipe.
-        self._racks: dict[int, str] = {}
         #: Active partitions: (side_a, side_b) pairs of NIC id-sets whose
         #: cross traffic is parked at the core stage until :meth:`heal`.
         self._partitions: list[tuple[frozenset[int], frozenset[int]]] = []
         self._heal_event = None
-        if core_rate_bps is not None:
-            from .bandwidth import BandwidthPipe
-
-            self.core = BandwidthPipe(
-                env, rate_bytes=core_rate_bps / 8.0,
-                chunk_bytes=core_chunk_bytes, name="fabric-core",
-            )
-        else:
-            self.core = None
         registry = _registry.ACTIVE
         if registry is not None:
             registry.register_fabric(self)
@@ -76,27 +58,6 @@ class Fabric:
     @property
     def nics(self) -> tuple["PhysicalNic", ...]:
         return tuple(self._nics)
-
-    # -- two-tier topology ---------------------------------------------------
-
-    def assign_rack(self, nic: "PhysicalNic", rack: str) -> None:
-        """Place a NIC (i.e. its host) into a rack."""
-        if nic not in self._nics:
-            raise ValueError(f"{nic!r} is not attached to this fabric")
-        self._racks[id(nic)] = rack
-
-    def rack_of(self, nic: "PhysicalNic") -> "str | None":
-        return self._racks.get(id(nic))
-
-    def crosses_core(self, src: "PhysicalNic", dst: "PhysicalNic") -> bool:
-        """True when traffic between the NICs traverses the shared core."""
-        if self.core is None:
-            return False
-        src_rack = self._racks.get(id(src))
-        dst_rack = self._racks.get(id(dst))
-        if src_rack is None or dst_rack is None:
-            return False
-        return src_rack != dst_rack
 
     # -- partitions ----------------------------------------------------------
 
@@ -173,13 +134,9 @@ class Fabric:
         if src is dst:
             raise ValueError("use host-local channels for loopback traffic")
         yield from src.egress.transfer(wire_bytes, priority=priority)
-        crosses_core = self.crosses_core(src, dst)
-        latency = self.one_way_latency_s
-        if crosses_core:
-            latency += self.switch_latency_s  # one more hop
         queue = self._landing_queue(src, dst)
-        queue.put((self.env.now + latency, wire_bytes,
-                   priority, deliver, crosses_core))
+        queue.put((self.env.now + self.one_way_latency_s, wire_bytes,
+                   priority, deliver))
 
     def _landing_queue(self, src: "PhysicalNic", dst: "PhysicalNic"):
         from ..sim.resources import Store
@@ -198,22 +155,19 @@ class Fabric:
         return queue
 
     def _core_worker(self, src, dst, queue, ingress_queue):
-        """Stage 1: propagation wait + (optional) shared-core traversal.
+        """Stage 1: propagation wait, then the partition check.
 
         While a partition cuts this (src, dst) path the worker parks on
         the fabric's heal event, holding the message (and everything
         queued behind it, preserving order) until connectivity returns.
         """
         while True:
-            (arrival_at, wire_bytes, priority, deliver,
-             crosses_core) = yield queue.get()
+            arrival_at, wire_bytes, priority, deliver = yield queue.get()
             wait = arrival_at - self.env.now
             if wait > 0:
                 yield self.env.timeout(wait)
             while self.partitioned(src, dst):
                 yield self._healed()
-            if crosses_core and self.core is not None:
-                yield from self.core.transfer(wire_bytes, priority=priority)
             ingress_queue.put((wire_bytes, priority, deliver))
 
     def _ingress_worker(self, dst: "PhysicalNic", ingress_queue):

@@ -87,8 +87,8 @@ class MemoryBus:
         # Hold one core for the whole copy (stall time included).
         with cpu._cores.request(priority=priority) as claim:
             yield claim
-            cpu.recorder.busy()
+            cpu.busy.add(1)
             try:
                 yield from _copy_with_core()
             finally:
-                cpu.recorder.idle()
+                cpu.busy.add(-1)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from ..sim.monitor import IntervalRecorder
+from ..sim.monitor import TimeWeighted
 from ..sim.resources import Resource
 from .bandwidth import BandwidthPipe
 from .specs import NicSpec
@@ -46,6 +46,9 @@ class PhysicalNic:
         self.name = name
         self.host: Optional["Host"] = None
         self.fabric: Optional["Fabric"] = None
+        #: The DPDK poll-mode driver bound to this port, started by
+        #: ``repro.transports.dpdk.DpdkEngine.on_host`` on first use.
+        self.pmd = None
         self.egress = BandwidthPipe(
             env,
             rate_bytes=self.spec.goodput_bytes,
@@ -59,7 +62,7 @@ class PhysicalNic:
             name=f"{name}.ingress",
         )
         self._engine = Resource(env, capacity=1)
-        self.engine_recorder = IntervalRecorder(env)
+        self.engine_busy = TimeWeighted(env)
 
     # -- capabilities -------------------------------------------------------
 
@@ -90,31 +93,22 @@ class PhysicalNic:
             seconds += nbytes * self.spec.rdma_engine_cycles_per_byte
         with self._engine.request(priority=priority) as claim:
             yield claim
-            self.engine_recorder.busy()
+            self.engine_busy.add(1)
             try:
                 yield self.env.timeout(seconds)
             finally:
-                self.engine_recorder.idle()
+                self.engine_busy.add(-1)
 
     def engine_utilisation(self) -> float:
         """Mean busy fraction of the NIC processor (the paper's NIC CPU)."""
-        return self.engine_recorder.utilisation()
+        return self.engine_busy.mean()
 
     def link_utilisation(self) -> float:
         """Mean busy fraction of the egress wire."""
         return self.egress.utilisation()
 
-    def utilisation_snapshot(self) -> dict:
-        """All three busy fractions at once (engine, egress wire,
-        ingress wire) — what the live ``repro top`` view renders."""
-        return {
-            "engine": self.engine_recorder.utilisation(),
-            "egress": self.egress.utilisation(),
-            "ingress": self.ingress.utilisation(),
-        }
-
     def reset_accounting(self) -> None:
-        self.engine_recorder.reset()
+        self.engine_busy.reset()
         self.egress.reset_accounting()
         self.ingress.reset_accounting()
 

@@ -17,11 +17,12 @@ so a benchmark is three lines: build testbed, connect, measure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .hardware.specs import to_gbps
-from .sim.monitor import Series
+from .sim.monitor import StreamingSeries
 from .sim.process import Interrupt
 from .telemetry import registry as _registry
 from .telemetry import tracer as _tracer
@@ -69,7 +70,7 @@ class StreamResult:
 class PingPongResult:
     """Outcome of a closed-loop latency measurement."""
 
-    latencies: Series
+    latencies: StreamingSeries
     rounds: int
     message_bytes: int
     #: Per-hop latency breakdown from the active tracer (None when
@@ -242,7 +243,7 @@ def run_pingpong(
     """Closed-loop ping-pong; records one-way latencies (RTT / 2)."""
     if rounds <= 0:
         raise ValueError("rounds must be positive")
-    latencies = Series()
+    latencies = StreamingSeries(reservoir=math.inf)
     tracer = _tracer.ACTIVE
     trace_mark = len(tracer) if tracer is not None else 0
 

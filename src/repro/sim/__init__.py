@@ -7,13 +7,7 @@ virtual-time order.  See DESIGN.md §3.
 
 from .backoff import Backoff
 from .events import AllOf, AnyOf, Condition, Event, EventAlreadyTriggered, Timeout
-from .monitor import (
-    IntervalRecorder,
-    Series,
-    StreamingSeries,
-    ThroughputTimeline,
-    TimeWeighted,
-)
+from .monitor import StreamingSeries, ThroughputTimeline, TimeWeighted
 from .process import Interrupt, Process, ProcessGen
 from .rand import RandomStream, StreamFactory
 from .resources import (
@@ -39,14 +33,12 @@ __all__ = [
     "Event",
     "EventAlreadyTriggered",
     "Interrupt",
-    "IntervalRecorder",
     "Process",
     "ProcessGen",
     "RandomStream",
     "Release",
     "Request",
     "Resource",
-    "Series",
     "Store",
     "StoreGet",
     "StorePut",

@@ -1,17 +1,18 @@
 """Measurement instruments for simulated experiments.
 
-Two instruments cover everything the paper's evaluation needs:
+One instrument per job:
 
 * :class:`TimeWeighted` — tracks a piecewise-constant value over time and
   reports its time-weighted mean.  This is how CPU utilisation is computed
-  ("TCP/IP burns ~200% CPU" means the time-weighted busy-core count is ~2).
-* :class:`Series` — a plain sample collector with count/mean/percentiles.
-  Used for latency distributions.
-
-For unbounded streams (per-lane delivery latencies over millions of
-messages) :class:`StreamingSeries` keeps the same statistical interface in
-O(1) memory: exact count/sum/min/max plus a fixed-size uniform reservoir
-(Vitter's Algorithm R) for percentile estimates.
+  ("TCP/IP burns ~200% CPU" means the time-weighted busy-core count is ~2);
+  the CPU, the NIC engine and every bandwidth pipe update one directly on
+  each busy/idle edge.
+* :class:`StreamingSeries` — the sample collector behind every latency
+  distribution and registry histogram: exact count/sum/min/max plus a
+  fixed-size uniform reservoir (Vitter's Algorithm R) for percentiles, so
+  millions of samples stay O(1) memory.  ``reservoir=math.inf`` is the
+  degenerate exact mode: every sample is kept and percentiles are exact.
+* :class:`ThroughputTimeline` — delivered bytes per time bucket.
 
 All are deliberately dependency-free (no numpy) so the core library stays
 pure; benchmarks may post-process with numpy.
@@ -29,9 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "TimeWeighted",
-    "Series",
     "StreamingSeries",
-    "IntervalRecorder",
     "ThroughputTimeline",
 ]
 
@@ -49,8 +48,6 @@ class TimeWeighted:
         self._last_time = env.now
         self._value = float(initial)
         self._area = 0.0
-        self._max = float(initial)
-        self._min = float(initial)
 
     @property
     def value(self) -> float:
@@ -63,8 +60,6 @@ class TimeWeighted:
         self._area += self._value * (now - self._last_time)
         self._last_time = now
         self._value = float(value)
-        self._max = max(self._max, self._value)
-        self._min = min(self._min, self._value)
 
     def add(self, delta: float) -> None:
         """Shift the signal by ``delta`` (convenience for counters)."""
@@ -79,116 +74,31 @@ class TimeWeighted:
         area = self._area + self._value * (end - self._last_time)
         return area / span
 
-    def maximum(self) -> float:
-        return self._max
-
-    def minimum(self) -> float:
-        return self._min
-
     def reset(self) -> None:
         """Restart the measurement window at the current time."""
         self._start = self.env.now
         self._last_time = self.env.now
         self._area = 0.0
-        self._max = self._value
-        self._min = self._value
-
-
-class Series:
-    """Sample collector with summary statistics (count, mean, percentiles)."""
-
-    def __init__(self) -> None:
-        self._samples: list[float] = []
-        self._sorted: Optional[list[float]] = None
-
-    def __len__(self) -> int:
-        return len(self._samples)
-
-    def add(self, sample: float) -> None:
-        # Unbounded by design: Series is the exact collector; memory-bounded
-        # callers use StreamingSeries below.  simlint: disable=SIM004
-        self._samples.append(float(sample))
-        self._sorted = None
-
-    def extend(self, samples: Iterable[float]) -> None:
-        # See add(): exact collection is this class's contract.
-        self._samples.extend(float(s) for s in samples)  # simlint: disable=SIM004
-        self._sorted = None
-
-    @property
-    def samples(self) -> list[float]:
-        return list(self._samples)
-
-    def mean(self) -> float:
-        if not self._samples:
-            raise ValueError("no samples recorded")
-        return sum(self._samples) / len(self._samples)
-
-    def stdev(self) -> float:
-        if len(self._samples) < 2:
-            return 0.0
-        mu = self.mean()
-        var = sum((s - mu) ** 2 for s in self._samples) / (len(self._samples) - 1)
-        return math.sqrt(var)
-
-    def minimum(self) -> float:
-        if not self._samples:
-            raise ValueError("no samples recorded")
-        return min(self._samples)
-
-    def maximum(self) -> float:
-        if not self._samples:
-            raise ValueError("no samples recorded")
-        return max(self._samples)
-
-    def percentile(self, p: float) -> float:
-        """Linear-interpolated percentile, ``p`` in [0, 100]."""
-        if not self._samples:
-            raise ValueError("no samples recorded")
-        if not 0 <= p <= 100:
-            raise ValueError(f"percentile {p} outside [0, 100]")
-        if self._sorted is None:
-            self._sorted = sorted(self._samples)
-        data = self._sorted
-        if len(data) == 1:
-            return data[0]
-        rank = (p / 100) * (len(data) - 1)
-        low = int(math.floor(rank))
-        high = int(math.ceil(rank))
-        if low == high:
-            return data[low]
-        frac = rank - low
-        # The a + t*(b-a) form is exact when a == b, unlike the convex
-        # combination, which can round a hair outside [a, b].
-        return data[low] + frac * (data[high] - data[low])
-
-    def median(self) -> float:
-        return self.percentile(50)
-
-    def summary(self) -> dict[str, float]:
-        """A dict of the headline statistics (handy for bench output)."""
-        return {
-            "count": float(len(self._samples)),
-            "mean": self.mean(),
-            "min": self.minimum(),
-            "p50": self.percentile(50),
-            "p99": self.percentile(99),
-            "max": self.maximum(),
-        }
 
 
 class StreamingSeries:
-    """Bounded-memory sample stream: exact moments, sampled percentiles.
+    """Sample stream: exact moments, reservoir-sampled percentiles.
 
-    Count, sum, min and max are exact for the whole stream; percentiles
-    are computed over a fixed-size uniform random sample maintained with
-    Vitter's Algorithm R, so memory stays O(``reservoir``) no matter how
-    many samples arrive.  The replacement RNG is seeded per instance, so
-    two identical runs sample identically (simulation determinism).
+    Count, sum, min and max are exact for the whole stream (the sum is
+    accumulated left to right, in arrival order); percentiles are
+    computed over a uniform random sample of at most ``reservoir``
+    samples maintained with Vitter's Algorithm R, so memory stays
+    O(``reservoir``) no matter how many samples arrive.  The replacement
+    RNG is seeded per instance, so two identical runs sample identically
+    (simulation determinism).
 
-    Drop-in for the common :class:`Series` surface: ``len()`` reports the
-    *total* stream count, and ``append`` aliases ``add`` for callers that
-    treat the collector as a list.
+    ``reservoir=math.inf`` never overflows: every sample is kept in
+    arrival order and percentiles are exact.  Callers that need the
+    whole distribution (ping-pong rounds, request latencies, training
+    steps) use that mode.
+
+    ``len()`` reports the *total* stream count, and ``append`` aliases
+    ``add`` for callers that treat the collector as a list.
     """
 
     __slots__ = (
@@ -199,7 +109,7 @@ class StreamingSeries:
     #: Default reservoir size: percentile error ~1/sqrt(1024) ≈ 3%.
     DEFAULT_RESERVOIR = 1024
 
-    def __init__(self, reservoir: int = DEFAULT_RESERVOIR, seed: int = 0x5EED) -> None:
+    def __init__(self, reservoir: float = DEFAULT_RESERVOIR, seed: int = 0x5EED) -> None:
         if reservoir <= 0:
             raise ValueError(f"reservoir size must be positive, got {reservoir}")
         self._count = 0
@@ -257,7 +167,8 @@ class StreamingSeries:
 
     @property
     def samples(self) -> list[float]:
-        """The current reservoir contents (a uniform sample, unordered)."""
+        """The current reservoir contents: a uniform sample, in arrival
+        order until the first overflow (all samples when unbounded)."""
         return list(self._reservoir)
 
     def mean(self) -> float:
@@ -299,13 +210,18 @@ class StreamingSeries:
         if low == high:
             return data[low]
         frac = rank - low
+        # The a + t*(b-a) form is exact when a == b, unlike the convex
+        # combination, which can round a hair outside [a, b].
         return data[low] + frac * (data[high] - data[low])
 
     def median(self) -> float:
         return self.percentile(50)
 
     def summary(self) -> dict[str, float]:
-        """A dict of the headline statistics (handy for bench output)."""
+        """A dict of the headline statistics (handy for bench output);
+        just ``{"count": 0.0}`` before the first sample."""
+        if not self._count:
+            return {"count": 0.0}
         return {
             "count": float(self._count),
             "mean": self.mean(),
@@ -357,36 +273,3 @@ class ThroughputTimeline:
         if not rates:
             raise ValueError("no buckets in the requested window")
         return min(rates)
-
-
-class IntervalRecorder:
-    """Tracks busy intervals of a set of workers (e.g. CPU cores).
-
-    ``busy(n)`` / ``idle(n)`` adjust how many workers are active; the
-    utilisation over the window is (busy worker-seconds) / elapsed — i.e.
-    "how many cores were burning", the unit used in the paper's CPU plots
-    (200% = two cores).
-    """
-
-    def __init__(self, env: "Environment") -> None:
-        self._tracker = TimeWeighted(env)
-
-    def busy(self, workers: int = 1) -> None:
-        self._tracker.add(workers)
-
-    def idle(self, workers: int = 1) -> None:
-        self._tracker.add(-workers)
-
-    @property
-    def active(self) -> float:
-        return self._tracker.value
-
-    def utilisation(self) -> float:
-        """Mean number of simultaneously busy workers (1.0 == 100%)."""
-        return self._tracker.mean()
-
-    def utilisation_percent(self) -> float:
-        return 100.0 * self.utilisation()
-
-    def reset(self) -> None:
-        self._tracker.reset()

@@ -1,7 +1,8 @@
 """Unified telemetry for the FreeFlow reproduction (tracing + metrics).
 
-Cooperating components, each with its own module-level ``ACTIVE``
-handle so hot paths can gate on a single pointer compare:
+Cooperating components; each one that hot paths call has its own
+module-level ``ACTIVE`` handle, so they gate on a single pointer
+compare:
 
 * :mod:`~repro.telemetry.tracer` — span-based flow tracer recording
   per-hop sim-time segments for sampled messages;
@@ -12,7 +13,8 @@ handle so hot paths can gate on a single pointer compare:
 * :mod:`~repro.telemetry.flowrecords` — sketch-based top talkers plus
   NetFlow-style sampled flow records (the fleet flight recorder);
 * :mod:`~repro.telemetry.timeseries` — fixed-interval windowed rollups
-  of the registry on a bounded ring (the utilization timeline);
+  of the registry on a bounded ring (the utilization timeline), driven
+  by the flow recorder, so it needs no handle of its own;
 * :mod:`~repro.telemetry.profiler` — engine profiler attributing
   events (and wall-clock) to subsystem callback sites.  Armed
   separately via :func:`profiler.install` because it is an engine
@@ -48,12 +50,11 @@ from . import events as events_module
 from . import flowrecords as flowrecords_module
 from . import profiler as profiler_module
 from . import registry as registry_module
-from . import timeseries as timeseries_module
 from . import tracer as tracer_module
 from .events import ControlEvent, EventLog
 from .flowrecords import FlowRecorder
 from .profiler import EngineProfiler
-from .registry import Counter, Gauge, Histogram, MetricsRegistry
+from .registry import Counter, Gauge, MetricsRegistry
 from .sketches import SpaceSaving
 from .timeseries import RollupRecorder
 from .tracer import SEGMENT_ORDER, MessageTrace, Tracer
@@ -65,7 +66,6 @@ __all__ = [
     "MetricsRegistry",
     "Counter",
     "Gauge",
-    "Histogram",
     "EventLog",
     "ControlEvent",
     "SpaceSaving",
@@ -115,7 +115,6 @@ def session(
         registry_module.ACTIVE,
         events_module.ACTIVE,
         flowrecords_module.ACTIVE,
-        timeseries_module.ACTIVE,
     )
     registry = MetricsRegistry()
     rollups = None
@@ -143,7 +142,6 @@ def session(
     registry_module.ACTIVE = handle.registry
     events_module.ACTIVE = handle.events
     flowrecords_module.ACTIVE = flows
-    timeseries_module.ACTIVE = rollups
     try:
         yield handle
     finally:
@@ -152,5 +150,4 @@ def session(
             registry_module.ACTIVE,
             events_module.ACTIVE,
             flowrecords_module.ACTIVE,
-            timeseries_module.ACTIVE,
         ) = previous

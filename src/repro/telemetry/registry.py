@@ -24,8 +24,8 @@ Two integration styles, chosen for hot-path cost:
   per-call, not per-byte, and every helper no-ops in one compare when
   the registry is disabled (``ACTIVE is None``).
 
-Histograms are backed by :class:`repro.sim.monitor.StreamingSeries`, so
-a metric fed millions of samples stays O(1) memory.
+A histogram is a :class:`repro.sim.monitor.StreamingSeries`, stored as
+is, so a metric fed millions of samples stays O(1) memory.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ __all__ = [
     "KNOWN_FAMILIES",
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "enable",
     "disable",
@@ -130,31 +129,6 @@ class Gauge:
         return self._value
 
 
-class Histogram:
-    """Distribution metric backed by a bounded StreamingSeries."""
-
-    __slots__ = ("name", "series")
-
-    def __init__(
-        self,
-        name: str,
-        reservoir: int = StreamingSeries.DEFAULT_RESERVOIR,
-        series: Optional[StreamingSeries] = None,
-    ) -> None:
-        self.name = name
-        self.series = series if series is not None else StreamingSeries(
-            reservoir=reservoir
-        )
-
-    def observe(self, sample: float) -> None:
-        self.series.add(sample)
-
-    def summary(self) -> dict[str, float]:
-        if not len(self.series):
-            return {"count": 0.0}
-        return self.series.summary()
-
-
 def _merged_summary(series_list: Iterable[StreamingSeries]) -> dict:
     """Summary over several StreamingSeries without merging their state.
 
@@ -224,17 +198,12 @@ class MetricsRegistry:
             metric = self._metrics[name] = Gauge(name, fn)
         return metric
 
-    def histogram(
-        self,
-        name: str,
-        reservoir: int = StreamingSeries.DEFAULT_RESERVOIR,
-        series: Optional[StreamingSeries] = None,
-    ) -> Histogram:
-        metric = self._get(name, Histogram)
+    def histogram(self, name: str) -> StreamingSeries:
+        metric = self._get(name, StreamingSeries)
         if metric is None:
             # Same bounded metric namespace as counter() above.
             # simlint: disable=SIM009
-            metric = self._metrics[name] = Histogram(name, reservoir, series)
+            metric = self._metrics[name] = StreamingSeries()
         return metric
 
     # -- pull-style registration ------------------------------------------
@@ -312,10 +281,9 @@ class MetricsRegistry:
                        fn=lambda t=table: float(t.transitions))
 
     def register_fabric(self, fabric) -> None:
-        """Publish the physical fabric's gauges (attached NICs, shared
-        core-pipe utilisation in two-tier mode, active partitions; on a
-        fat-tree also link counts, selector state and per-tier link
-        utilisation rollups)."""
+        """Publish the physical fabric's gauges (attached NICs, active
+        partitions; on a fat-tree also link counts, selector state and
+        per-tier link utilisation rollups)."""
         prefix = "repro.fabric"
         if f"{prefix}.nics" in self._metrics:
             return
@@ -323,11 +291,6 @@ class MetricsRegistry:
                    fn=lambda f=fabric: float(len(f.nics)))
         self.gauge(f"{prefix}.partitions",
                    fn=lambda f=fabric: float(len(f._partitions)))
-        self.gauge(
-            f"{prefix}.core_util",
-            fn=lambda f=fabric: (float(f.core.utilisation())
-                                 if f.core is not None else 0.0),
-        )
         topology = getattr(fabric, "topology", None)
         if topology is None:
             return
@@ -461,4 +424,4 @@ def counter_inc(name: str, amount: float = 1.0) -> None:
 def histogram_observe(name: str, sample: float) -> None:
     registry = ACTIVE
     if registry is not None:
-        registry.histogram(name).observe(sample)
+        registry.histogram(name).add(sample)

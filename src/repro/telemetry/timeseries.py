@@ -21,14 +21,10 @@ the timeline has a row per interval even when no message moved.
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
 
 from .registry import MetricsRegistry
 
-__all__ = ["ACTIVE", "RollupRecorder"]
-
-#: The active rollup recorder, or None when rollups are disabled.
-ACTIVE: Optional["RollupRecorder"] = None
+__all__ = ["RollupRecorder"]
 
 #: Cap on boundaries emitted per catch-up so a single maybe_roll after a
 #: very long quiet stretch cannot stall the run filling gap windows.

@@ -12,7 +12,9 @@ the kernel's per-packet costs vanish:
   shows up honestly in the CPU-utilisation benches.
 
 One :class:`DpdkEngine` exists per host and is shared by every DPDK lane
-on it; its single PMD worker is the serialisation point.
+on it; its single PMD worker is the serialisation point.  The host's NIC
+holds its engine (``nic.pmd``), so the engine lives exactly as long as
+the host: a dropped simulation is freed whole.
 """
 
 from __future__ import annotations
@@ -35,8 +37,6 @@ __all__ = ["DpdkEngine", "DpdkLane", "DpdkChannel"]
 class DpdkEngine:
     """The per-host PMD: one dedicated core polling TX and RX rings."""
 
-    _BY_HOST: dict[int, "DpdkEngine"] = {}
-
     def __init__(self, host: "Host", spec: Optional[DpdkSpec] = None) -> None:
         if not host.nic.dpdk_capable:
             raise TransportUnavailable(f"{host.name}'s NIC has no DPDK driver")
@@ -51,10 +51,10 @@ class DpdkEngine:
     @classmethod
     def on_host(cls, host: "Host") -> "DpdkEngine":
         """Get (or start) the PMD for ``host`` — one engine per host."""
-        key = id(host)
-        if key not in cls._BY_HOST or cls._BY_HOST[key].host is not host:
-            cls._BY_HOST[key] = cls(host)
-        return cls._BY_HOST[key]
+        engine = host.nic.pmd
+        if engine is None:
+            engine = host.nic.pmd = cls(host)
+        return engine
 
     def service_seconds(self, nbytes: int) -> float:
         """PMD time to process one message (copy + per-packet work)."""
@@ -81,7 +81,8 @@ class DpdkEngine:
     def shutdown(self) -> None:
         """Release the dedicated core (end of experiment)."""
         self._core.release()
-        self._BY_HOST.pop(id(self.host), None)
+        if self.host.nic.pmd is self:
+            self.host.nic.pmd = None
 
 
 class DpdkLane(Lane):

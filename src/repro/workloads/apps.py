@@ -14,12 +14,13 @@ Both are used by the examples and by the application-level benches.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from ..core.mpi import Communicator
 from ..core.sockets import SocketLayer
-from ..sim.monitor import Series
+from ..sim.monitor import StreamingSeries
 from ..sim.rand import RandomStream
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -56,7 +57,7 @@ class KeyValueStoreApp:
         self.store: dict[int, str] = {}
         self.gets_served = 0
         self.puts_served = 0
-        self.get_latencies = Series()
+        self.get_latencies = StreamingSeries(reservoir=math.inf)
         self._listener = self.layer.listen(server, port)
         self.env.process(self._accept_loop())
 
@@ -136,7 +137,8 @@ class TrainingStats:
     """Per-experiment outcome of a parameter-server run."""
 
     steps: int = 0
-    step_times: Series = field(default_factory=Series)
+    step_times: StreamingSeries = field(
+        default_factory=lambda: StreamingSeries(reservoir=math.inf))
     final_values: dict = field(default_factory=dict)
 
 

@@ -16,10 +16,11 @@ multi-pair sweeps and the application examples:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from ..sim.monitor import Series
+from ..sim.monitor import StreamingSeries
 from ..sim.rand import RandomStream
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -105,7 +106,7 @@ class RequestResponse:
         self.request_bytes = request_bytes
         self.response_bytes = response_bytes
         self.rng = rng or RandomStream(0, "reqresp")
-        self.response_times = Series()
+        self.response_times = StreamingSeries(reservoir=math.inf)
         self.completed = 0
 
     def run(self, duration_s: float):

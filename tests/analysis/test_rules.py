@@ -5,6 +5,9 @@ exactly as the CLI drives it (pragmas and path handling included)."""
 from __future__ import annotations
 
 import textwrap
+from pathlib import Path
+
+import pytest
 
 from repro.analysis import lint_source
 from repro.analysis.core import LintContext
@@ -338,6 +341,33 @@ def test_sim007_silent_on_typed_raise():
         rule="SIM007",
     )
     assert findings == []
+
+
+def test_sim007_exempts_test_functions_of_collected_bench_files():
+    source = """
+        def _helper(x):
+            assert x > 0
+            return x
+
+        def test_shape():
+            assert _helper(1) == 1
+
+        class TestShape:
+            def test_method(self):
+                assert _helper(2) == 2
+        """
+    fired = lint(source, path="benchmarks/bench_x.py", rule="SIM007")
+    assert [f.snippet for f in fired] == ["assert x > 0"]
+    # A module pytest does not collect gets no exemption.
+    assert len(lint(source, path="benchmarks/common.py", rule="SIM007")) == 3
+
+
+def test_sim007_collected_file_patterns_match_pytest_config():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[2]
+    config = tomllib.loads((root / "pyproject.toml").read_text())
+    python_files = config["tool"]["pytest"]["ini_options"]["python_files"]
+    assert tuple(python_files) == RULES_BY_CODE["SIM007"].PYTEST_FILES
 
 
 # -- SIM008: per-message cq.wait() in a loop ---------------------------------

@@ -53,6 +53,8 @@ def test_contention_queues_work(env, cpu):
         env.process(work(name))
     env.run()
     assert finished[-1][0] == pytest.approx(2.0)
+    # Queued work is not busy: 2 cores for 1 s, then 1 core for 1 s.
+    assert cpu.utilisation() == pytest.approx(1.5)
 
 
 def test_utilisation_accounting(env, cpu):
@@ -76,12 +78,16 @@ def test_utilisation_two_cores(env, cpu):
 
 
 def test_hold_occupies_wall_time(env, cpu, runner):
+    # A dedicated core counts as busy from the claim to its release.
     def work():
-        yield from cpu.hold(0.5)
+        claim = cpu.dedicate()
+        yield env.timeout(0.5)
+        claim.release()
+        yield env.timeout(0.5)
         return env.now
 
-    assert runner(work()) == pytest.approx(0.5)
-    assert cpu.utilisation() == pytest.approx(1.0)
+    assert runner(work()) == pytest.approx(1.0)
+    assert cpu.utilisation() == pytest.approx(0.5)
 
 
 def test_dedicate_claims_core_forever(env, cpu):

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.hardware import Fabric, Host, NicSpec, PhysicalNic, PAPER_TESTBED
-from repro.sim import Environment
 
 
 def test_nic_capabilities_follow_spec(env):
@@ -155,93 +154,3 @@ def test_reset_accounting_clears_counters(env, fabric):
     assert host.cpu.utilisation() > 0
     host.reset_accounting()
     assert host.cpu.utilisation() == pytest.approx(0.0)
-
-
-class TestTwoTierFabric:
-    def _cross_rack_setup(self, core_gbps=None):
-        from repro.hardware import Fabric, Host
-        from repro.sim import Environment
-
-        env = Environment()
-        kwargs = {}
-        if core_gbps is not None:
-            kwargs["core_rate_bps"] = core_gbps * 1e9
-        fabric = Fabric(env, **kwargs)
-        h1 = Host(env, "h1", fabric=fabric)
-        h2 = Host(env, "h2", fabric=fabric)
-        return env, fabric, h1, h2
-
-    def test_flat_fabric_never_crosses_core(self):
-        env, fabric, h1, h2 = self._cross_rack_setup()
-        assert fabric.core is None
-        assert not fabric.crosses_core(h1.nic, h2.nic)
-
-    def test_rack_assignment_and_core_detection(self):
-        env, fabric, h1, h2 = self._cross_rack_setup(core_gbps=100)
-        fabric.assign_rack(h1.nic, "rack-a")
-        fabric.assign_rack(h2.nic, "rack-b")
-        assert fabric.rack_of(h1.nic) == "rack-a"
-        assert fabric.crosses_core(h1.nic, h2.nic)
-        fabric.assign_rack(h2.nic, "rack-a")
-        assert not fabric.crosses_core(h1.nic, h2.nic)
-
-    def test_assign_rack_requires_attachment(self, env):
-        from repro.hardware import Fabric, PhysicalNic
-
-        fabric = Fabric(env)
-        stray = PhysicalNic(env)
-        with pytest.raises(ValueError):
-            fabric.assign_rack(stray, "rack-a")
-
-    def test_oversubscribed_core_caps_cross_rack_traffic(self):
-        """A 10 Gb/s core throttles cross-rack flows below the 40G NICs."""
-        from repro.transports import RdmaChannel
-        from repro.hardware import to_gbps
-
-        env, fabric, h1, h2 = self._cross_rack_setup(core_gbps=10)
-        fabric.assign_rack(h1.nic, "rack-a")
-        fabric.assign_rack(h2.nic, "rack-b")
-        channel = RdmaChannel(h1, h2)
-        got = {"bytes": 0}
-        duration = 0.02
-
-        def sender():
-            while env.now < duration:
-                yield from channel.a.send(1 << 20)
-
-        def receiver():
-            while True:
-                message = yield from channel.b.recv()
-                got["bytes"] += message.size_bytes
-
-        env.process(sender())
-        env.process(receiver())
-        env.run(until=duration)
-        rate = to_gbps(got["bytes"] / duration)
-        assert rate == pytest.approx(10, rel=0.15)
-
-    def test_intra_rack_traffic_keeps_full_rate(self):
-        from repro.transports import RdmaChannel
-        from repro.hardware import to_gbps
-
-        env, fabric, h1, h2 = self._cross_rack_setup(core_gbps=10)
-        fabric.assign_rack(h1.nic, "rack-a")
-        fabric.assign_rack(h2.nic, "rack-a")  # same rack
-        channel = RdmaChannel(h1, h2)
-        got = {"bytes": 0}
-        duration = 0.02
-
-        def sender():
-            while env.now < duration:
-                yield from channel.a.send(1 << 20)
-
-        def receiver():
-            while True:
-                message = yield from channel.b.recv()
-                got["bytes"] += message.size_bytes
-
-        env.process(sender())
-        env.process(receiver())
-        env.run(until=duration)
-        assert to_gbps(got["bytes"] / duration) == pytest.approx(38.8,
-                                                                 rel=0.1)

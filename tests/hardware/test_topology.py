@@ -153,6 +153,30 @@ def test_interpod_transfer_matches_closed_form(env):
     assert done == [pytest.approx(fabric.path_latency(64 * 1024, rate))]
 
 
+def test_oversubscribed_core_caps_only_cross_pod_traffic(env):
+    """At core_rate_scale=0.25 a pod-crossing stream gets a quarter of
+    the link rate; a stream that stays inside the pod keeps all of it."""
+    fabric, nics = _tree(env, core_rate_scale=0.25)
+    moved = {"pod": 0, "cross": 0}
+    duration = 5e-3
+
+    def stream(src, dst, key):
+        def deliver():
+            moved[key] += 64 * 1024
+
+        def go():
+            while env.now < duration:
+                yield from fabric.send(src, dst, 64 * 1024, deliver)
+        env.process(go())
+
+    stream(nics[2], nics[0], "pod")    # edge0.1 -> edge0.0
+    stream(nics[1], nics[4], "cross")  # pod 0 -> pod 1
+    env.run(until=duration)
+    rate = nics[0].spec.goodput_bytes
+    assert moved["pod"] / duration == pytest.approx(rate, rel=0.05)
+    assert moved["cross"] / duration == pytest.approx(0.25 * rate, rel=0.05)
+
+
 def test_cross_pod_conservation_and_order(env):
     fabric, nics = _tree(env)
     delivered = []

@@ -1,8 +1,11 @@
 """Unit tests for the measurement instruments."""
 
+import math
+
 import pytest
 
-from repro.sim import Environment, IntervalRecorder, Series, TimeWeighted
+from repro.hardware import CpuSet
+from repro.sim import RandomStream, StreamingSeries, TimeWeighted
 
 
 class TestTimeWeighted:
@@ -32,13 +35,6 @@ class TestTimeWeighted:
         tracker.add(-3.0)
         assert tracker.value == 0.0
 
-    def test_min_max(self, env):
-        tracker = TimeWeighted(env)
-        tracker.record(5)
-        tracker.record(-2)
-        assert tracker.maximum() == 5
-        assert tracker.minimum() == -2
-
     def test_reset_restarts_window(self, env):
         tracker = TimeWeighted(env, initial=10)
 
@@ -57,9 +53,52 @@ class TestTimeWeighted:
         assert tracker.mean() == 7
 
 
+class TestBusyTime:
+    """Busy-worker accounting: a TimeWeighted count of busy workers,
+    whose mean is "how many cores were burning"."""
+
+    def test_utilisation_of_half_busy_worker(self, env):
+        cpu = CpuSet(env)
+
+        def driver():
+            yield from cpu.execute(cpu.spec.frequency_hz * 5)
+            yield env.timeout(5)
+
+        env.process(driver())
+        env.run()
+        assert cpu.utilisation() == pytest.approx(0.5)
+        assert cpu.utilisation_percent() == pytest.approx(50.0)
+
+    def test_two_workers_counted(self, env):
+        busy = TimeWeighted(env)
+
+        def driver():
+            busy.add(2)
+            yield env.timeout(10)
+            busy.add(-2)
+
+        env.process(driver())
+        env.run()
+        assert busy.mean() == pytest.approx(2.0)
+
+    def test_active_tracks_current(self, env):
+        cpu = CpuSet(env)
+        claims = [cpu.dedicate() for _ in range(3)]
+        assert cpu.busy_cores == 3
+        claims[0].release()
+        assert cpu.busy_cores == 2
+
+
+def exact() -> StreamingSeries:
+    """The exact collector: an unbounded reservoir keeps every sample."""
+    return StreamingSeries(reservoir=math.inf)
+
+
 class TestSeries:
+    """The exact mode, ``StreamingSeries(reservoir=math.inf)``."""
+
     def test_basic_stats(self):
-        series = Series()
+        series = exact()
         series.extend([1, 2, 3, 4, 5])
         assert series.mean() == 3
         assert series.minimum() == 1
@@ -68,105 +107,129 @@ class TestSeries:
         assert len(series) == 5
 
     def test_percentile_interpolation(self):
-        series = Series()
+        series = exact()
         series.extend([0, 10])
         assert series.percentile(50) == pytest.approx(5)
         assert series.percentile(0) == 0
         assert series.percentile(100) == 10
 
     def test_percentile_single_sample(self):
-        series = Series()
+        series = exact()
         series.add(42)
         assert series.percentile(99) == 42
 
     def test_empty_series_raises(self):
-        series = Series()
+        series = exact()
         with pytest.raises(ValueError):
             series.mean()
         with pytest.raises(ValueError):
             series.percentile(50)
+        assert series.summary() == {"count": 0.0}
 
     def test_bad_percentile_rejected(self):
-        series = Series()
+        series = exact()
         series.add(1)
         with pytest.raises(ValueError):
             series.percentile(101)
 
-    def test_stdev(self):
-        series = Series()
-        series.extend([2, 4, 4, 4, 5, 5, 7, 9])
-        assert series.stdev() == pytest.approx(2.138, abs=1e-3)
-        single = Series()
-        single.add(1)
-        assert single.stdev() == 0.0
-
     def test_summary_keys(self):
-        series = Series()
+        series = exact()
         series.extend(range(100))
         summary = series.summary()
         assert set(summary) == {"count", "mean", "min", "p50", "p99", "max"}
         assert summary["count"] == 100
 
     def test_samples_are_copied(self):
-        series = Series()
+        series = exact()
         series.add(1)
         external = series.samples
         external.append(2)
         assert len(series) == 1
 
 
-class TestIntervalRecorder:
-    def test_utilisation_of_half_busy_worker(self, env):
-        recorder = IntervalRecorder(env)
+#: Percentiles the reference comparison reads, extremes included.
+PERCENTILES = (0, 0.1, 1, 5, 25, 50, 75, 90, 99, 99.9, 100)
 
-        def driver():
-            recorder.busy()
-            yield env.timeout(5)
-            recorder.idle()
-            yield env.timeout(5)
 
-        env.process(driver())
-        env.run()
-        assert recorder.utilisation() == pytest.approx(0.5)
-        assert recorder.utilisation_percent() == pytest.approx(50.0)
+def reference_summary(samples: list) -> dict:
+    """The statistics from a plain sorted list, the total summed left to
+    right in arrival order, percentiles interpolated between ranks."""
+    data = sorted(samples)
+    total = 0.0
+    for sample in samples:
+        total += sample
 
-    def test_two_workers_counted(self, env):
-        recorder = IntervalRecorder(env)
+    def percentile(p):
+        rank = (p / 100) * (len(data) - 1)
+        low, high = math.floor(rank), math.ceil(rank)
+        return data[low] + (rank - low) * (data[high] - data[low])
 
-        def driver():
-            recorder.busy(2)
-            yield env.timeout(10)
-            recorder.idle(2)
+    return {
+        "count": len(samples), "total": total, "mean": total / len(samples),
+        "min": data[0], "max": data[-1],
+        "percentiles": [percentile(p) for p in PERCENTILES],
+    }
 
-        env.process(driver())
-        env.run()
-        assert recorder.utilisation() == pytest.approx(2.0)
 
-    def test_active_tracks_current(self, env):
-        recorder = IntervalRecorder(env)
-        recorder.busy(3)
-        assert recorder.active == 3
-        recorder.idle()
-        assert recorder.active == 2
+def summary_of(series: StreamingSeries) -> dict:
+    return {
+        "count": len(series), "total": series.total(), "mean": series.mean(),
+        "min": series.minimum(), "max": series.maximum(),
+        "percentiles": [series.percentile(p) for p in PERCENTILES],
+    }
+
+
+def random_samples(seed: int, count: int) -> list:
+    """``count`` samples spanning a seeded scale: mostly exponential,
+    with some negative and repeated values."""
+    rng = RandomStream(seed, "series-reference")
+    scale = 10 ** rng.uniform(-9, 3)
+    samples = []
+    for _ in range(count):
+        roll = rng.random()
+        if roll < 0.1:
+            samples.append(rng.uniform(-scale, scale))
+        elif roll < 0.2 and samples:
+            samples.append(samples[rng.randrange(len(samples))])
+        else:
+            samples.append(rng.expovariate(1 / scale))
+    return samples
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_unbounded_reservoir_matches_sorted_list_reference(seed):
+    count = RandomStream(seed, "series-count").randint(1, 3_000)
+    samples = random_samples(seed, count)
+    series = exact()
+    series.extend(samples)
+    assert summary_of(series) == reference_summary(samples)
+    assert series.samples == samples
+
+
+@pytest.mark.parametrize(
+    "count", (1, 2, 3, 100, StreamingSeries.DEFAULT_RESERVOIR))
+def test_default_reservoir_is_exact_up_to_its_size(count):
+    samples = random_samples(count, count)
+    series = StreamingSeries()
+    series.extend(samples)
+    assert summary_of(series) == reference_summary(samples)
 
 
 class TestStreamingSeries:
     def test_exact_moments_match_plain_series(self):
-        from repro.sim import Series, StreamingSeries
-
-        streaming = StreamingSeries()
-        plain = Series()
+        # Past its reservoir, a bounded series still has the exact
+        # stream's count, mean, min and max.
+        streaming = StreamingSeries(reservoir=4)
+        plain = exact()
         for value in (3.0, 1.0, 4.0, 1.0, 5.0, 9.0):
             streaming.add(value)
             plain.add(value)
         assert len(streaming) == len(plain)
-        assert streaming.mean() == pytest.approx(plain.mean())
+        assert streaming.mean() == plain.mean()
         assert streaming.minimum() == plain.minimum()
         assert streaming.maximum() == plain.maximum()
 
     def test_percentiles_exact_below_reservoir_size(self):
-        from repro.sim import StreamingSeries
-
         series = StreamingSeries()
         series.extend(range(101))
         assert series.percentile(0) == 0
@@ -175,16 +238,12 @@ class TestStreamingSeries:
         assert series.median() == 50
 
     def test_append_aliases_add(self):
-        from repro.sim import StreamingSeries
-
         series = StreamingSeries()
         series.append(2.5)
         assert len(series) == 1
         assert series.mean() == 2.5
 
     def test_empty_raises(self):
-        from repro.sim import StreamingSeries
-
         series = StreamingSeries()
         with pytest.raises(ValueError):
             series.mean()
@@ -192,8 +251,6 @@ class TestStreamingSeries:
             series.percentile(50)
 
     def test_invalid_arguments(self):
-        from repro.sim import StreamingSeries
-
         with pytest.raises(ValueError):
             StreamingSeries(reservoir=0)
         series = StreamingSeries()
@@ -202,8 +259,6 @@ class TestStreamingSeries:
             series.percentile(101)
 
     def test_deterministic_sampling(self):
-        from repro.sim import StreamingSeries
-
         a = StreamingSeries(reservoir=16)
         b = StreamingSeries(reservoir=16)
         for value in range(10_000):
@@ -212,8 +267,6 @@ class TestStreamingSeries:
         assert a.samples == b.samples
 
     def test_rng_created_on_first_overflow(self):
-        from repro.sim import StreamingSeries
-
         series = StreamingSeries(reservoir=8)
         series.extend(range(8))
         assert series._rng is None
@@ -221,8 +274,6 @@ class TestStreamingSeries:
         assert series._rng is not None
 
     def test_reservoir_matches_eager_algorithm_r(self):
-        from repro.sim import RandomStream, StreamingSeries
-
         capacity, n = StreamingSeries.DEFAULT_RESERVOIR, 10_000
         series = StreamingSeries()
         rng = RandomStream(0x5EED, "reservoir")
@@ -241,8 +292,6 @@ class TestStreamingSeries:
         # Acceptance: a 1M-sample stream must not grow memory linearly —
         # the reservoir stays at its fixed capacity while the exact
         # moments cover the full stream.
-        from repro.sim import StreamingSeries
-
         n = 1_000_000
         series = StreamingSeries(reservoir=512)
         add = series.add

@@ -62,7 +62,7 @@ def test_histogram_summary():
     histogram = registry.histogram("h")
     assert histogram.summary() == {"count": 0.0}
     for sample in (1.0, 2.0, 3.0):
-        histogram.observe(sample)
+        histogram.add(sample)
     summary = histogram.summary()
     assert summary["count"] == 3
     assert summary["mean"] == pytest.approx(2.0)

@@ -12,15 +12,8 @@ from repro.core import (
 )
 from repro.hardware import NO_RDMA_TESTBED, to_gbps
 from repro.metrics import run_pingpong, run_stream
-from repro.transports import DpdkEngine, Mechanism
+from repro.transports import Mechanism
 from repro.workloads import KeyValueStoreApp
-
-
-@pytest.fixture(autouse=True)
-def _fresh_dpdk_registry():
-    DpdkEngine._BY_HOST.clear()
-    yield
-    DpdkEngine._BY_HOST.clear()
 
 
 def test_quickstart_helper_builds_working_cluster():

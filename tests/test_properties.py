@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import AddressExhausted
 from repro.hardware import BandwidthPipe, Host
 from repro.netstack import IpPool, RouteTable, segment_count
-from repro.sim import Environment, Resource, Series, Store, Tank
+from repro.sim import Environment, Resource, Store, StreamingSeries, Tank
 from repro.sim.rand import RandomStream
 
 
@@ -100,7 +100,7 @@ def test_tank_level_stays_in_bounds(operations):
        st.floats(min_value=0, max_value=100))
 @settings(max_examples=60, deadline=None)
 def test_series_percentile_bounded_and_monotone(samples, p):
-    series = Series()
+    series = StreamingSeries(reservoir=math.inf)
     series.extend(samples)
     value = series.percentile(p)
     assert series.minimum() <= value <= series.maximum()

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from repro import ContainerSpec, quickstart_cluster
 from repro.baselines import OverlayModeNetwork
 from repro.core import PolicyConfig
-from repro.transports import DpdkEngine
 
 
 def _drive(channel, env, sizes):
@@ -83,7 +82,6 @@ def test_freeflow_rdma_delivers_exactly_once_in_order(sizes):
 @given(_SIZES)
 @settings(max_examples=15, deadline=None)
 def test_freeflow_dpdk_delivers_exactly_once_in_order(sizes):
-    DpdkEngine._BY_HOST.clear()
     env, cluster, network = quickstart_cluster(
         hosts=2, policy_config=PolicyConfig(allow_rdma=False)
     )

@@ -1,18 +1,15 @@
 """Unit + behaviour tests for the DPDK transport."""
 
+import gc
+import weakref
+
 import pytest
 
+from repro.analysis import waitfor
 from repro.errors import TransportUnavailable
-from repro.hardware import Host, NO_RDMA_TESTBED, to_gbps
+from repro.hardware import Fabric, Host, NO_RDMA_TESTBED, to_gbps
 from repro.sim import Environment
 from repro.transports import DpdkChannel, DpdkEngine, Mechanism
-
-
-@pytest.fixture(autouse=True)
-def _fresh_engine_registry():
-    DpdkEngine._BY_HOST.clear()
-    yield
-    DpdkEngine._BY_HOST.clear()
 
 
 def test_requires_dpdk_nic(env, fabric):
@@ -38,6 +35,47 @@ def test_shutdown_releases_core(env, host):
     assert host.cpu.busy_cores == 0
     # A new engine can start afterwards.
     assert DpdkEngine.on_host(host) is not engine
+
+
+def _dpdk_simulation():
+    """Two hosts, one DPDK channel, one message delivered."""
+    env = Environment()
+    fabric = Fabric(env)
+    a, b = Host(env, "a", fabric=fabric), Host(env, "b", fabric=fabric)
+    channel = DpdkChannel(a, b)
+
+    def flow():
+        yield from channel.a.send(1500)
+        yield from channel.b.recv()
+
+    env.run(until=env.process(flow()))
+    return env, a, b
+
+
+@pytest.fixture
+def waitfor_disarmed():
+    """The wait-for graph, when the suite arms it, keeps every process
+    and resource it has named; run with it off, re-arming it after."""
+    was_installed = waitfor.installed()
+    waitfor.uninstall()
+    yield
+    if was_installed:
+        waitfor.install()
+
+
+def test_dropped_simulation_is_freed(waitfor_disarmed):
+    alive = weakref.ref(_dpdk_simulation()[0])
+    gc.collect()
+    assert alive() is None
+
+
+def test_idle_engine_lives_as_long_as_its_host():
+    _, a, b = _dpdk_simulation()
+    engine = weakref.ref(a.nic.pmd)
+    gc.collect()  # the channel is gone; its hosts are not
+    DpdkChannel(a, b)
+    assert a.nic.pmd is engine()
+    assert a.cpu.busy_cores == 1
 
 
 def test_roundtrip(env, host_pair, runner):
