@@ -154,3 +154,50 @@ def test_reset_accounting_clears_counters(env, fabric):
     assert host.cpu.utilisation() > 0
     host.reset_accounting()
     assert host.cpu.utilisation() == pytest.approx(0.0)
+
+
+class TestTwoTierFabric:
+    """Rack-local versus cross-core traffic below an oversubscribed core.
+
+    ``FatTreeFabric(core_rate_scale=0.25)`` gives each core link a
+    quarter of the 40G link rate. A rack is an edge switch; only traffic
+    between pods crosses the core. Plain ECMP keeps a flow on one core
+    link, where flowlets would spread it over several.
+    """
+
+    def _stream_gbps(self, dst_port):
+        from repro.hardware import FatTreeFabric, to_gbps
+        from repro.sim import Environment
+        from repro.transports import RdmaChannel
+
+        env = Environment()
+        fabric = FatTreeFabric(env, k=4, core_rate_scale=0.25,
+                               flowlet_gap_s=float("inf"))
+        hosts = [Host(env, f"h{i}", fabric=fabric)
+                 for i in range(dst_port + 1)]
+        channel = RdmaChannel(hosts[0], hosts[dst_port])
+        got = {"bytes": 0}
+        duration = 0.02
+
+        def sender():
+            while env.now < duration:
+                yield from channel.a.send(1 << 20)
+
+        def receiver():
+            while True:
+                message = yield from channel.b.recv()
+                got["bytes"] += message.size_bytes
+
+        env.process(sender())
+        env.process(receiver())
+        env.run(until=duration)
+        return to_gbps(got["bytes"] / duration)
+
+    def test_oversubscribed_core_caps_cross_rack_traffic(self):
+        """A quarter-rate core throttles cross-pod flows below the 40G
+        NICs, to about a quarter of their 38.8 Gb/s goodput."""
+        assert self._stream_gbps(dst_port=4) == pytest.approx(0.25 * 38.8,
+                                                              rel=0.15)
+
+    def test_intra_rack_traffic_keeps_full_rate(self):
+        assert self._stream_gbps(dst_port=1) == pytest.approx(38.8, rel=0.1)
