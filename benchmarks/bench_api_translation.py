@@ -299,9 +299,9 @@ def _verified_rpc(msg_bytes: int = 64, duration: float = 0.0008,
     """One short streaming run under the runtime sanitizer + tracer.
 
     Proves the coalesced path keeps the engine invariants (no past
-    events, conservation across transplants, guarded flow transitions)
-    and that every sampled message's tracer segments still sum exactly
-    to its end-to-end latency.
+    events, monotone clock) and ring-byte conservation, and that every
+    sampled message's tracer segments still sum exactly to its
+    end-to-end latency.
     """
     from repro.analysis import sanitizer
     from repro.telemetry import tracer

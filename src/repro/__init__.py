@@ -74,8 +74,8 @@ def quickstart_cluster(hosts: int = 2, spec=None, fat_tree_k=None,
 
 # -- opt-in runtime sanitizer ------------------------------------------------
 # REPRO_SANITIZE=1 arms the dynamic invariant checks (past-scheduled
-# events, clock monotonicity, transplant conservation, FlowTable-only
-# transitions) for the whole process; see repro.analysis.sanitizer.
+# events, clock monotonicity, streaming-ring conservation) for the whole
+# process; see repro.analysis.sanitizer.
 # Checked here, at import time, so `REPRO_SANITIZE=1 python -m pytest`
 # and the demos need no code changes to run sanitized.
 if os.environ.get("REPRO_SANITIZE"):

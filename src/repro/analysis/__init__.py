@@ -12,8 +12,7 @@ the registry — see :func:`repro.analysis.rules.rule_range`):
 * :mod:`repro.analysis.sanitizer` — runtime invariant checks armed by
   ``REPRO_SANITIZE=1`` or :func:`repro.analysis.sanitizer.install`,
   catching dynamically what the AST cannot see (events scheduled in the
-  past, clock regressions, stats lost across lane transplants, flow
-  transitions that bypass the FlowTable);
+  past, clock regressions, streaming-ring bytes minted or leaked);
 * :mod:`repro.analysis.waitfor` — the runtime wait-for graph armed by
   ``REPRO_WAITFOR=1``: every parked process records what it waits on
   and who can fire it, lock cycles raise

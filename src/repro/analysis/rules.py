@@ -24,8 +24,9 @@ Rule index:
 * **SIM005** telemetry naming — metric literals must match
   ``repro.[a-z0-9_.]+`` and belong to a family the registry knows;
   event kinds must be lowercase dotted names;
-* **SIM006** flow-state ownership — ``.state`` on flow connections is
-  assigned only inside ``core/flows.py`` (the FlowTable state machine);
+* **SIM006** flow-state ownership — ``.state`` (and the ``._state``
+  field behind it) on flow connections is assigned only inside
+  ``core/flows.py`` (the FlowTable state machine);
 * **SIM007** no bare ``assert`` in library code — asserts vanish under
   ``python -O``; raise a typed error from :mod:`repro.errors`;
 * **SIM008** per-message completion wait — ``cq.wait()`` inside a loop
@@ -733,11 +734,14 @@ class FlowStateOwnershipRule(Rule):
     """The flow lifecycle state machine lives in ``core/flows.py``;
     assigning ``.state`` on a flow/connection anywhere else bypasses
     the transition table, its legality checks, and the telemetry
-    events it emits.  Call ``FlowTable.transition()`` instead."""
+    events it emits.  Call ``FlowTable.transition()`` instead.
+    ``FlowConnection.state`` is a read-only property, so at runtime the
+    one remaining bypass is its ``._state`` field, flagged the same
+    way."""
 
     code = "SIM006"
-    summary = ("flow .state is assigned only inside core/flows.py — "
-               "use FlowTable.transition()")
+    summary = ("flow .state/._state is assigned only inside "
+               "core/flows.py — use FlowTable.transition()")
 
     example_bad = """\
 def force_active(flow, state):
@@ -750,6 +754,7 @@ def force_active(table, flow, state):
 
     OWNER_SUFFIX = "core/flows.py"
     FLOWISH = re.compile(r"^(flow|conn)", re.IGNORECASE)
+    FIELDS = ("state", "_state")
 
     def check(self, tree, path, lines, ctx):
         if path.endswith(self.OWNER_SUFFIX):
@@ -766,7 +771,7 @@ def force_active(table, flow, state):
                 continue
             for target in targets:
                 if not (isinstance(target, ast.Attribute)
-                        and target.attr == "state"):
+                        and target.attr in self.FIELDS):
                     continue
                 if self._mentions_flowstate(value):
                     out.append(self.finding(
@@ -780,9 +785,9 @@ def force_active(table, flow, state):
                         and self.FLOWISH.match(target.value.id)):
                     out.append(self.finding(
                         path, node,
-                        f"assignment to {target.value.id}.state outside "
-                        f"core/flows.py — flow state transitions must go "
-                        f"through FlowTable.transition()", lines))
+                        f"assignment to {target.value.id}.{target.attr} "
+                        f"outside core/flows.py — flow state transitions "
+                        f"must go through FlowTable.transition()", lines))
         return out
 
     @staticmethod

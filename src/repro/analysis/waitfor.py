@@ -32,15 +32,23 @@ call on every blocking operation, and the engine's observer tuple
 * **Idle report instead of a silent hang** — when ``run()`` returns
   with the event queues drained while processes are still parked, the
   full ownership chain (who waits on what, who holds it, how much) is
-  snapshotted; :func:`idle_report` returns it.  A live snapshot is
-  available any time via :func:`report` — the chaos harness uses it to
-  assert that a stalled credit's owner is named while the stall is in
-  progress.
+  snapshotted; :func:`idle_report` returns it.  A live snapshot of one
+  simulation is available any time via :func:`report` — the chaos
+  harness uses it to assert that a stalled credit's owner is named
+  while the stall is in progress.
+
+Everything the graph learns about one simulation — its waits, lock
+owners, ledgers and names — lives in one object stored on that
+:class:`~repro.sim.scheduler.Environment` (the way the sanitizer keeps
+its last popped time there).  A report covers only its own simulation,
+and a dropped simulation takes its graph with it, armed or not; the
+tool itself keeps only counters and the last idle report.
 
 Resources accept a ``label=`` at construction; unlabeled ones get a
-deterministic ``<type>#<n>`` name in first-seen order (never ``id()``/
-hex, so reports are byte-stable across runs).  Processes are named from
-their generator's qualname, with a ``#n`` suffix for repeats.
+deterministic ``<type>#<n>`` name in first-seen order within their
+simulation (never ``id()``/hex, so reports are byte-stable across
+runs).  Processes are named from their generator's qualname, with a
+``#n`` suffix for repeats.
 
 No method is replaced, so it composes with the sanitizer and the
 profiler in any install and uninstall order.
@@ -49,7 +57,7 @@ profiler in any install and uninstall order.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Optional
+from typing import Optional
 
 from ..errors import DeadlockDetected
 from ..sim import resources, scheduler
@@ -68,11 +76,15 @@ __all__ = [
 _OWNER_SWEEP_AT = 4096
 
 
-class _State(scheduler.Observer):
-    """Live wait-for graph: the ``resources.WAITS`` hook and the engine
-    observer that snapshots idle stalls."""
+class _Graph:
+    """One simulation's wait-for graph, stored on its Environment."""
 
-    def __init__(self) -> None:
+    __slots__ = ("tool", "waits", "request_owner", "ledgers", "labels",
+                 "label_counts", "proc_names", "name_counts")
+
+    def __init__(self, tool: "_State") -> None:
+        #: The arming this graph was built under (a re-arm starts over).
+        self.tool = tool
         #: process -> (event, resource, kind, amount) for its live wait.
         self.waits: dict = {}
         #: Request -> owning process (granted or queued).
@@ -85,6 +97,21 @@ class _State(scheduler.Observer):
         self.label_counts: dict = {}
         self.proc_names: dict = {}
         self.name_counts: dict = {}
+
+
+def _graph(env) -> _Graph:
+    """``env``'s graph under the current arming, created on first use."""
+    graph = env.__dict__.get("_waitfor")
+    if graph is None or graph.tool is not _state:
+        graph = env.__dict__["_waitfor"] = _Graph(_state)
+    return graph
+
+
+class _State(scheduler.Observer):
+    """The ``resources.WAITS`` hook and the engine observer that
+    snapshots idle stalls, plus the counters of the whole arming."""
+
+    def __init__(self) -> None:
         self.checks: dict = {}
         self.violations = 0
         self.last_idle: Optional[dict] = None
@@ -92,40 +119,46 @@ class _State(scheduler.Observer):
     # -- resources.WAITS hook ----------------------------------------------
 
     def request(self, resource, request) -> None:
-        proc = resource.env._active_process
+        env = resource.env
+        proc = env._active_process
         if proc is not None:
-            self.request_owner[request] = proc
-            if len(self.request_owner) > _OWNER_SWEEP_AT:
-                _sweep_request_owners(self)
+            graph = _graph(env)
+            graph.request_owner[request] = proc
+            if len(graph.request_owner) > _OWNER_SWEEP_AT:
+                _sweep_request_owners(graph)
             if not request.triggered:
-                _record_wait(self, proc, request, resource, "lock", None)
-                _lock_cycle_check(self, proc, resource)
+                _record_wait(graph, proc, request, resource, "lock", None)
+                _lock_cycle_check(graph, proc, resource)
 
     def store_get(self, store, event) -> None:
         if not event.triggered:
-            proc = store.env._active_process
+            env = store.env
+            proc = env._active_process
             if proc is not None:
-                _record_wait(self, proc, event, store, "store-get", None)
+                _record_wait(_graph(env), proc, event, store, "store-get",
+                             None)
 
     def tank(self, tank, event, amount, sign) -> None:
-        proc = tank.env._active_process
+        env = tank.env
+        proc = env._active_process
+        graph = _graph(env)
         if event.triggered:
-            _tank_account(self, tank, proc, amount, sign)
+            _tank_account(graph, tank, proc, amount, sign)
             return
         if proc is not None:
             kind = "tank-get" if sign < 0 else "tank-put"
-            _record_wait(self, proc, event, tank, kind, amount)
+            _record_wait(graph, proc, event, tank, kind, amount)
 
-        def _granted(_event, state=self, tank=tank, proc=proc,
+        def _granted(_event, graph=graph, tank=tank, proc=proc,
                      amount=amount, sign=sign):
-            _tank_account(state, tank, proc, amount, sign)
+            _tank_account(graph, tank, proc, amount, sign)
 
         event._add_callback(_granted)
 
     # -- engine observer ----------------------------------------------------
 
     def idle(self, env) -> None:
-        snapshot = report()
+        snapshot = report(env)
         if snapshot.get("parked"):
             self.last_idle = snapshot
             _bump("idle_reports")
@@ -150,23 +183,12 @@ def stats() -> dict:
 
 
 def reset_stats() -> None:
-    """Drop all accumulated state (counters, waits, ledgers, names).
-
-    Call between independent simulation runs under one install — stale
-    waits from a finished environment would otherwise bleed into the
-    next run's reports.
-    """
+    """Zero the counters and forget the last idle report.  (Waits,
+    ledgers and names belong to each simulation and go with it.)"""
     if _state is not None:
         _state.checks.clear()
         _state.violations = 0
         _state.last_idle = None
-        _state.waits.clear()
-        _state.request_owner.clear()
-        _state.ledgers.clear()
-        _state.labels.clear()
-        _state.label_counts.clear()
-        _state.proc_names.clear()
-        _state.name_counts.clear()
 
 
 def _bump(key: str) -> None:
@@ -178,24 +200,24 @@ def _bump(key: str) -> None:
 # -- naming ------------------------------------------------------------------
 
 
-def _label(state: _State, resource) -> str:
+def _label(graph: _Graph, resource) -> str:
     explicit = getattr(resource, "label", None)
     if explicit:
         return explicit
-    name = state.labels.get(resource)
+    name = graph.labels.get(resource)
     if name is None:
         base = type(resource).__name__.lower()
-        n = state.label_counts.get(base, 0) + 1
-        state.label_counts[base] = n
+        n = graph.label_counts.get(base, 0) + 1
+        graph.label_counts[base] = n
         name = f"{base}#{n}"
-        state.labels[resource] = name
+        graph.labels[resource] = name
     return name
 
 
-def _proc_name(state: _State, proc) -> str:
+def _proc_name(graph: _Graph, proc) -> str:
     if proc is None:
         return "external"
-    name = state.proc_names.get(proc)
+    name = graph.proc_names.get(proc)
     if name is None:
         gen = proc._generator
         code = getattr(gen, "gi_code", None)
@@ -205,24 +227,24 @@ def _proc_name(state: _State, proc) -> str:
         # prefix that only adds noise to reports; keep the leaf name
         # (collisions are disambiguated by the #n suffix below).
         base = base.rpartition(".")[2]
-        n = state.name_counts.get(base, 0) + 1
-        state.name_counts[base] = n
+        n = graph.name_counts.get(base, 0) + 1
+        graph.name_counts[base] = n
         name = base if n == 1 else f"{base}#{n}"
-        state.proc_names[proc] = name
+        graph.proc_names[proc] = name
     return name
 
 
 # -- wait records ------------------------------------------------------------
 
 
-def _record_wait(state, proc, event, resource, kind, amount) -> None:
+def _record_wait(graph, proc, event, resource, kind, amount) -> None:
     record = (event, resource, kind, amount)
-    state.waits[proc] = record
+    graph.waits[proc] = record
     _bump("parks")
 
-    def _purge(_event, state=state, proc=proc, record=record):
-        if state.waits.get(proc) is record:
-            del state.waits[proc]
+    def _purge(_event, graph=graph, proc=proc, record=record):
+        if graph.waits.get(proc) is record:
+            del graph.waits[proc]
 
     event._add_callback(_purge)
 
@@ -242,13 +264,13 @@ def _wait_live(wait) -> bool:
     return event in resource._puts  # tank-put
 
 
-def _live_wait(state, proc):
+def _live_wait(graph, proc):
     """The process's wait record, lazily purging stale entries."""
-    wait = state.waits.get(proc)
+    wait = graph.waits.get(proc)
     if wait is None:
         return None
     if not _wait_live(wait):
-        del state.waits[proc]
+        del graph.waits[proc]
         return None
     return wait
 
@@ -256,7 +278,7 @@ def _live_wait(state, proc):
 # -- tank ledgers ------------------------------------------------------------
 
 
-def _tank_account(state, tank, proc, amount, sign) -> None:
+def _tank_account(graph, tank, proc, amount, sign) -> None:
     """Fold one successful get (sign -1) / put (sign +1) into the ledger.
 
     An op of the opposite sign repays the FIFO head first; any leftover
@@ -266,9 +288,9 @@ def _tank_account(state, tank, proc, amount, sign) -> None:
     _bump("tank_ops")
     if amount <= 0:
         return
-    entry = state.ledgers.get(tank)
+    entry = graph.ledgers.get(tank)
     if entry is None:
-        entry = state.ledgers[tank] = [0, deque()]
+        entry = graph.ledgers[tank] = [0, deque()]
     entries = entry[1]
     remaining = amount
     if entry[0] == -sign:
@@ -287,13 +309,13 @@ def _tank_account(state, tank, proc, amount, sign) -> None:
         entry[0] = sign
 
 
-def _tank_holders(state, tank) -> list:
-    entry = state.ledgers.get(tank)
+def _tank_holders(graph, tank) -> list:
+    entry = graph.ledgers.get(tank)
     if entry is None or not entry[1]:
         return []
     holds = "occupancy" if entry[0] > 0 else "credit"
     return [
-        {"process": _proc_name(state, holder), "holds": holds,
+        {"process": _proc_name(graph, holder), "holds": holds,
          "amount": held}
         for holder, held in entry[1]
     ]
@@ -302,37 +324,37 @@ def _tank_holders(state, tank) -> list:
 # -- lock cycle check --------------------------------------------------------
 
 
-def _lock_holders(state, resource) -> list:
+def _lock_holders(graph, resource) -> list:
     out = []
     for request in resource.users:
-        owner = state.request_owner.get(request)
+        owner = graph.request_owner.get(request)
         if owner is not None:
             out.append(owner)
     return out
 
 
-def _sweep_request_owners(state) -> None:
-    state.request_owner = {
+def _sweep_request_owners(graph) -> None:
+    graph.request_owner = {
         request: owner
-        for request, owner in state.request_owner.items()
+        for request, owner in graph.request_owner.items()
         if request in request.resource.users
         or request in request.resource.queue
     }
 
 
-def _lock_cycle_check(state, proc, resource) -> None:
+def _lock_cycle_check(graph, proc, resource) -> None:
     """DFS the holder chain from ``resource``; a path of lock waits
     leading back to ``proc`` is an unbreakable ring — raise."""
     _bump("lock_checks")
 
     def _walk(waiter, res, path, seen):
-        for holder in _lock_holders(state, res):
+        for holder in _lock_holders(graph, res):
             step = (waiter, res, holder)
             if holder is proc:
-                _raise_deadlock(state, path + [step])
+                _raise_deadlock(graph, path + [step])
             if holder in seen:
                 continue
-            wait = _live_wait(state, holder)
+            wait = _live_wait(graph, holder)
             if wait is None or wait[2] != "lock":
                 continue
             _walk(holder, wait[1], path + [step], seen | {holder})
@@ -340,11 +362,11 @@ def _lock_cycle_check(state, proc, resource) -> None:
     _walk(proc, resource, [], {proc})
 
 
-def _raise_deadlock(state, steps) -> None:
-    state.violations += 1
+def _raise_deadlock(graph, steps) -> None:
+    graph.tool.violations += 1
     parts = [
-        f"{_proc_name(state, waiter)} waits on {_label(state, res)} "
-        f"held by {_proc_name(state, holder)}"
+        f"{_proc_name(graph, waiter)} waits on {_label(graph, res)} "
+        f"held by {_proc_name(graph, holder)}"
         for waiter, res, holder in steps
     ]
     raise DeadlockDetected(
@@ -356,31 +378,31 @@ def _raise_deadlock(state, steps) -> None:
 # -- reports -----------------------------------------------------------------
 
 
-def report() -> dict:
-    """Live snapshot: every parked process, what it waits on, and the
-    ownership chain that could fire it."""
-    state = _state
-    if state is None:
+def report(env) -> dict:
+    """Live snapshot of one simulation: every process parked in ``env``,
+    what it waits on, and the ownership chain that could fire it."""
+    if _state is None:
         return {"installed": False}
+    graph = _graph(env)
     parked = []
-    for proc in list(state.waits):
-        wait = _live_wait(state, proc)
+    for proc in list(graph.waits):
+        wait = _live_wait(graph, proc)
         if wait is None:
             continue
         _event, resource, kind, amount = wait
         if kind == "lock":
             holders = [
-                {"process": _proc_name(state, owner), "holds": "slot",
+                {"process": _proc_name(graph, owner), "holds": "slot",
                  "amount": None}
-                for owner in _lock_holders(state, resource)
+                for owner in _lock_holders(graph, resource)
             ]
         elif kind in ("tank-get", "tank-put"):
-            holders = _tank_holders(state, resource)
+            holders = _tank_holders(graph, resource)
         else:
             holders = []
         parked.append({
-            "process": _proc_name(state, proc),
-            "waits_on": _label(state, resource),
+            "process": _proc_name(graph, proc),
+            "waits_on": _label(graph, resource),
             "kind": kind,
             "amount": amount,
             "holders": holders,

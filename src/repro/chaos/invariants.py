@@ -9,10 +9,12 @@ The probes deliberately reuse existing observability rather than
 private state: convergence reads the :class:`FlowTable`, repair latency
 and trace consistency are reconstructed from the
 :data:`~repro.telemetry.events.FLOW_TRANSITION` stream (so they also
-verify the telemetry contract itself), and the PR-4 runtime sanitizer —
-armed for the whole scenario — covers the engine-level invariants
-(no past-dated events, transplant conservation, FlowTable-only state
-writes) with its own exception on violation.
+verify the telemetry contract itself).  The rest raise mid-run with
+their own exception: the runtime sanitizer, armed for the whole
+scenario, covers the engine-level invariants (no past-dated events, a
+monotone clock) and streaming-ring conservation, and the flow layer
+itself checks transplant conservation and FlowTable-only state writes
+in every run.
 """
 
 from __future__ import annotations

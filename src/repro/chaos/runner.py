@@ -8,7 +8,7 @@ draw comes from the harness's :class:`StreamFactory`, sim time is the
 only clock, and the JSON serializer sorts keys — so CI can diff two
 runs byte-for-byte.
 
-The PR-4 runtime sanitizer is armed for every scenario (engine-level
+The runtime sanitizer is armed for every scenario (engine-level
 invariants raise mid-run instead of corrupting the report), and the
 scenario-level probes from :mod:`repro.chaos.invariants` run at the end.
 """
@@ -268,7 +268,7 @@ def run_scenario(scenario: Scenario, seed: int = 1) -> dict:
         _sanitizer.install()
     # The wait-for graph rides along (both are engine observers, so the
     # arming order does not matter): lock cycles raise DeadlockDetected
-    # mid-run, and scenario probes can snapshot waitfor.report() to name
+    # mid-run, and scenario probes can snapshot waitfor.report(env) to name
     # who holds a stalled credit.
     waitfor_here = not _waitfor.installed()
     if waitfor_here:

@@ -493,7 +493,7 @@ def _credit_stall() -> Scenario:
         from ..analysis import waitfor
 
         state["stall_level"] = state["client_sock"]._tx_credits.level
-        state["snapshot"] = waitfor.report()
+        state["snapshot"] = waitfor.report(harness.env)
 
     def heal(harness):
         staller = state["staller"]

@@ -38,6 +38,7 @@ from ..cluster.kvstore import WatchBatch
 from ..errors import (
     CompactedRevision,
     ConnectionReset,
+    EngineInvariantError,
     FlowStateError,
     FreeFlowError,
     UnknownContainer,
@@ -107,7 +108,7 @@ def label_channel(flow: "FlowConnection", channel: DuplexChannel) -> None:
 
 def _check_transition(flow: "FlowConnection",
                       new_state: FlowState) -> FlowState:
-    old = flow.state
+    old = flow._state
     if new_state not in _LEGAL[old]:
         raise FlowStateError(
             f"flow {flow.flow_id}: illegal transition "
@@ -120,9 +121,11 @@ class ConnectionEnd:
     """Migration-stable endpoint facade over a :class:`FlowConnection`.
 
     Applications hold this object; it resolves the live channel on every
-    call, honours the connection's pause gate, and transparently retries
-    a receive that was ejected by a channel swap — which is what keeps
-    connections alive across live migrations (paper §7).  It is
+    call, holds sends at the connection's pause gate, and transparently
+    retries a receive that was ejected by a channel swap — which is what
+    keeps connections alive across live migrations (paper §7).  Receives
+    never wait at the gate: a receiver that keeps consuming is what lets
+    the reconciler's drain finish, whatever the backlog's size.  It is
     stateless: :attr:`FlowConnection.a`/``.b`` build one per access, so
     the connection holds no reference back to it and a closed flow is
     freed by reference counting, without the cycle collector.
@@ -152,7 +155,6 @@ class ConnectionEnd:
     def recv(self):
         from ..errors import ChannelRebound
         while True:
-            yield from self._connection.wait_if_paused()
             try:
                 message = yield from self._end().recv()
                 return message
@@ -168,7 +170,8 @@ class FlowConnection:
     an endpoint moves (paper §7, "Live migration").  All state changes
     go through the owning :class:`FlowTable`; direct construction (for
     tests) yields a standalone flow whose transitions are still guarded
-    but not logged.
+    but not logged.  :attr:`state` is read-only: assigning it raises
+    ``AttributeError`` (rule SIM006 is the static twin).
     """
 
     def __init__(
@@ -192,7 +195,7 @@ class FlowConnection:
         self.generation = generation
         self.flow_id = flow_id or f"{src_name}->{dst_name}"
         self.table = table
-        self.state = (
+        self._state = (
             FlowState.ACTIVE if channel is not None else FlowState.RESOLVING
         )
         self._paused = False
@@ -201,6 +204,12 @@ class FlowConnection:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<FlowConnection {self.flow_id} {self.state.value} "
                 f"gen={self.generation}>")
+
+    @property
+    def state(self) -> FlowState:
+        """Lifecycle state, written only by :meth:`_transition` and
+        :meth:`FlowTable.transition`."""
+        return self._state
 
     @property
     def a(self) -> ConnectionEnd:
@@ -230,10 +239,10 @@ class FlowConnection:
             self.table.transition(self, new_state, reason=reason)
         else:
             _check_transition(self, new_state)
-            self.state = new_state
+            self._state = new_state
 
     def pause(self, env) -> None:
-        """Stop admitting new sends/recvs at the facade (migration)."""
+        """Stop admitting new sends at the facade (migration)."""
         if not self._paused:
             self._paused = True
             self._resume_event = env.event()
@@ -353,7 +362,7 @@ class FlowTable:
                    reason: str = "") -> FlowConnection:
         """The single gate every state change passes through."""
         old = _check_transition(flow, new_state)
-        flow.state = new_state
+        flow._state = new_state
         self.transitions += 1
         recorder = _flowrecords.ACTIVE
         if recorder is not None:
@@ -451,6 +460,12 @@ class ChannelFactory:
         stats count it (so ``in_flight`` stays conserved and delivery
         counters match what the lane will actually serve) and any open
         trace is re-keyed to the live flow.  Returns the number moved.
+
+        Every call checks conservation: the old inboxes end empty, and
+        each new lane's sent, delivered and payload counters grow by
+        exactly what it adopted.  Anything else means a message was lost
+        or forged in the swap, and raises
+        :class:`~repro.errors.EngineInvariantError`.
         """
         moved = 0
         for old_lane, new_lane in (
@@ -461,9 +476,27 @@ class ChannelFactory:
             if not items:
                 continue
             old_lane.inbox.items.clear()
+            stats = new_lane.stats
+            before = (stats.messages_sent, stats.messages_delivered,
+                      stats.payload_bytes)
             for message in items:
                 new_lane.adopt(message)
-                moved += 1
+            adopted = (len(items), len(items),
+                       sum(message.size_bytes for message in items))
+            grew = (stats.messages_sent - before[0],
+                    stats.messages_delivered - before[1],
+                    stats.payload_bytes - before[2])
+            if grew != adopted or old_lane.inbox.items:
+                raise EngineInvariantError(
+                    f"transplant broke conservation on the new "
+                    f"{new_lane.mechanism.value} lane: it adopted "
+                    f"{adopted[0]} message(s) of {adopted[2]} byte(s) but "
+                    f"sent/delivered/payload grew by {grew}, and "
+                    f"{len(old_lane.inbox.items)} message(s) stayed in "
+                    f"the old inbox — messages were lost or forged during "
+                    f"the channel swap"
+                )
+            moved += len(items)
         self.transplanted_messages += moved
         return moved
 

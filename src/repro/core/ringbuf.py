@@ -18,8 +18,9 @@ sides of a connection keep one :class:`RingBuffer`:
 
 Every advance is bounds-checked and raises
 :class:`~repro.errors.RingBufferError` on violation; the runtime
-sanitizer (``REPRO_SANITIZE=1``) additionally cross-checks the ring
-against the socket's buffered bytes after every dispatch/consume.
+sanitizer (``REPRO_SANITIZE=1``) additionally has the socket cross-check
+the ring against its buffered bytes after every dispatch/consume
+(``sockets.RING_CHECK``).
 """
 
 from __future__ import annotations

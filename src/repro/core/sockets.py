@@ -67,6 +67,7 @@ __all__ = [
     "RING_BYTES",
     "CREDIT_RETURN_BYTES",
     "RING_WRITE_PIPELINE",
+    "RING_CHECK",
     "SocketLayer",
     "FreeFlowListener",
     "FreeFlowSocket",
@@ -114,6 +115,14 @@ CREDIT_RETURN_BYTES = RING_BYTES // 4
 #: latency (the channel never idles), small enough that backpressure
 #: reaches the stager within a few batches.
 RING_WRITE_PIPELINE = 4
+
+#: Process-wide ring-conservation hook (the runtime sanitizer's seam,
+#: mirroring ``sim.resources.WAITS``).  When set, every completion batch
+#: a socket applies and every ``recv`` consumption call
+#: ``RING_CHECK.ring(problem)``, where ``problem`` is
+#: :meth:`FreeFlowSocket._ring_imbalance` — ``None`` while the ring
+#: accounting balances.
+RING_CHECK = None
 
 #: Size of the control MR each socket exposes (credit cell + FIN cell).
 _CTRL_BYTES = 16
@@ -269,8 +278,8 @@ class FreeFlowSocket:
         self._ring_writes_in_flight = 0
         #: Bytes between credit debit and staging (a sender parked in
         #: ``_send_ring`` holds its grant for one scheduler step before
-        #: appending); the sanitizer's ring-conservation check uses this
-        #: to bound the debit/staged gap exactly.
+        #: appending); :meth:`_ring_imbalance` uses this to bound the
+        #: debit/staged gap exactly.
         self._credit_debt_pending = 0
         self._doorbell = None
         self._flush_busy = False
@@ -540,8 +549,8 @@ class FreeFlowSocket:
     def _apply_completions(self, wcs: list) -> int:
         """Apply one drained CQE batch; returns the receives reposted.
 
-        Kept as a plain (non-generator) method so the runtime sanitizer
-        can wrap it and re-check ring conservation after every batch.
+        Re-checks ring conservation after the batch while
+        :data:`RING_CHECK` is armed.
         """
         reposts = 0
         for wc in wcs:
@@ -575,6 +584,9 @@ class FreeFlowSocket:
                     wr_id=next(_wr_ids), local_mr=self._recv_mr,
                 ))
         self._wake_receivers()
+        check = RING_CHECK
+        if check is not None:
+            check.ring(self._ring_imbalance())
         return reposts
 
     def _apply_credit(self, peer_consumed: int) -> None:
@@ -639,7 +651,8 @@ class FreeFlowSocket:
 
     def _consume_rx(self, max_bytes: int) -> tuple:
         """Pop up to ``max_bytes`` from the reassembly buffer; releases
-        ring space for ring-path bytes.  Plain method (sanitizer hook).
+        ring space for ring-path bytes.  Re-checks ring conservation
+        while :data:`RING_CHECK` is armed.
         """
         got = 0
         payload = None
@@ -659,7 +672,47 @@ class FreeFlowSocket:
         if ring_bytes:
             self._rx_ring.release(ring_bytes)
             self._ring_consumed += ring_bytes
+        check = RING_CHECK
+        if check is not None:
+            check.ring(self._ring_imbalance())
         return got, payload, ring_bytes
+
+    def _ring_imbalance(self) -> Optional[str]:
+        """Balance this socket's ring accounting, both sides; returns
+        what is out of balance, or ``None``.
+
+        Receive side: the ring's occupancy equals the ring-tagged bytes
+        waiting in the reassembly buffer.  Send side: ``capacity -
+        credit level`` equals staged plus in-ring bytes, up to the
+        grants senders hold between debit and staging.
+        """
+        if self._rx_ring is not None:
+            buffered = sum(n for n, _p, from_ring in self._rx_buffer
+                           if from_ring)
+            if self._rx_ring.used != buffered:
+                return (
+                    f"receive-ring accounting out of balance on "
+                    f"{self.container.name!r}: ring holds "
+                    f"{self._rx_ring.used} byte(s) but the reassembly "
+                    f"buffer carries {buffered} ring-tagged byte(s) — a "
+                    f"coalesced WRITE was applied without its chunks (or "
+                    f"vice versa)"
+                )
+        if self._tx_ring is not None and self._tx_credits is not None:
+            debited = self._tx_credits.capacity - self._tx_credits.level
+            outstanding = self._tx_ring.used + self._staged_bytes
+            if not (outstanding <= debited
+                    <= outstanding + self._credit_debt_pending):
+                return (
+                    f"send-ring credit accounting out of balance on "
+                    f"{self.container.name!r}: {debited} byte(s) of "
+                    f"credit debited but {outstanding} staged/un-acked "
+                    f"({self._staged_bytes} staged + {self._tx_ring.used} "
+                    f"in the ring, {self._credit_debt_pending} granted "
+                    f"but not yet staged) — the credit protocol minted "
+                    f"or leaked ring bytes"
+                )
+        return None
 
     def _return_credits(self):
         """Advertise consumed ring bytes back to the sender — batched to

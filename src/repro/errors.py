@@ -143,9 +143,9 @@ class SanitizerViolation(EngineInvariantError):
     """A runtime sanitizer check failed (``REPRO_SANITIZE=1``).
 
     The sanitizer (:mod:`repro.analysis.sanitizer`) arms cheap invariant
-    hooks in the engine and flow layer: monotone sim clock, globally
-    ordered event pops, byte/stat conservation across channel transplants,
-    and FlowTable-only flow-state transitions.
+    hooks in the engine and the streaming sockets: no past-dated events,
+    monotone sim clock, globally ordered event pops, and ring-byte
+    conservation.
     """
 
 

@@ -1,9 +1,10 @@
 """Instrumentation composition: sanitizer + profiler + wait-for graph.
 
-None of the three tools replaces an engine or resource method.  Each
-arms a slot — the engine's ``scheduler.OBSERVERS`` tuple, and for the
-wait-for graph also ``resources.WAITS`` — so every tool sees every run
-whatever order they were armed in.
+None of the three tools replaces a method on any class.  Each arms a
+slot — the engine's ``scheduler.OBSERVERS`` tuple, for the wait-for
+graph also ``resources.WAITS``, and for the sanitizer also
+``sockets.RING_CHECK`` — so every tool sees every run whatever order
+they were armed in.
 """
 
 from __future__ import annotations
@@ -11,11 +12,16 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import sanitizer, waitfor
+from repro.core import sockets
+from repro.core.flows import ChannelFactory, FlowConnection, FlowTable
+from repro.core.sockets import FreeFlowSocket
 from repro.sim import Environment, resources, scheduler
 from repro.sim.resources import Resource, Store, Tank
 from repro.telemetry import profiler as profiler_mod
+from repro.transports.base import Lane
 
-PATCHABLE = (Environment, Resource, Store, Tank)
+PATCHABLE = (Environment, Resource, Store, Tank, Lane, ChannelFactory,
+             FlowTable, FlowConnection, FreeFlowSocket)
 
 
 def _class_dicts():
@@ -96,6 +102,7 @@ def test_every_tool_observes_whatever_the_arming_order(disarmed):
 
     assert scheduler.OBSERVERS == ()
     assert resources.WAITS is None
+    assert sockets.RING_CHECK is None
     assert _class_dicts() == pristine
 
 

@@ -298,6 +298,40 @@ def test_sim006_fires_outside_flows_module():
     assert len(findings) == 2
 
 
+def test_sim006_fires_on_the_private_state_field():
+    """``state`` is a read-only property; ``_state`` is the field under
+    it, so writing that directly is the same bypass."""
+    findings = lint(
+        """
+        def hack(flow):
+            flow._state = FlowState.BROKEN
+
+        def sneak(conn, value):
+            conn._state = value
+        """,
+        rule="SIM006",
+    )
+    assert len(findings) == 2
+    assert "conn._state" in findings[1].message
+
+
+def test_sim006_silent_on_the_private_state_field_of_other_objects():
+    source = """
+        def legal(flow, new_state):
+            flow._state = new_state
+        """
+    assert lint(source, path="repro/core/flows.py", rule="SIM006") == []
+    findings = lint(
+        """
+        class Breaker:
+            def trip(self):
+                self._state = "open"
+        """,
+        rule="SIM006",
+    )
+    assert findings == []
+
+
 def test_sim006_silent_in_owner_module_and_for_other_state_machines():
     source = """
         def legal(flow):

@@ -1,16 +1,26 @@
 """Runtime sanitizer: trip tests for each armed invariant, plus proof
-that a sanitized run matches the unsanitized engine exactly."""
+that a sanitized run matches the unsanitized engine exactly — and for
+the two checks that moved into the domain code (transplant
+conservation, read-only flow state), trips that run disarmed."""
 
 from __future__ import annotations
 
 import heapq
+import inspect
+import textwrap
 from types import SimpleNamespace
 
 import pytest
 
 from repro.analysis import sanitizer
+from repro.cluster import ClusterOrchestrator, ContainerSpec
+from repro.core import FreeFlowNetwork, SocketLayer, sockets
 from repro.core.flows import ChannelFactory, FlowConnection, FlowState
-from repro.errors import SanitizerViolation
+from repro.core.middlebox import InspectedLane, Middlebox
+from repro.core.ratelimit import RateLimitedLane, TokenBucket
+from repro.core.sockets import FreeFlowSocket
+from repro.errors import EngineInvariantError, SanitizerViolation
+from repro.hardware import Fabric, Host
 from repro.sim import Environment, scheduler
 from repro.transports.base import Lane, Mechanism
 
@@ -101,26 +111,38 @@ def test_urgent_event_at_current_time_is_legal(sanitized):
     assert log == [1e-6]
 
 
-# -- conservation checks -----------------------------------------------------
+# -- checks that run in every run --------------------------------------------
+#
+# Transplant conservation and FlowTable-only state writes live in the
+# domain code, so these run with the sanitizer disarmed.
+
+
+@pytest.fixture
+def disarmed():
+    """Run with the sanitizer off, re-arming it afterwards when the
+    suite runs with REPRO_SANITIZE=1."""
+    was_installed = sanitizer.installed()
+    sanitizer.uninstall()
+    yield
+    if was_installed:
+        sanitizer.install()
 
 
 def make_lane(env: Environment) -> Lane:
     return Lane(env, Mechanism.SHM)
 
 
-def test_adopt_conservation_holds_for_real_lanes(sanitized):
+def test_adopt_conservation_holds_for_real_lanes():
     env = Environment()
     src, dst = make_lane(env), make_lane(env)
     message = src.make_message(4096)
-    before = sanitized.stats().get("lane_adopt", 0)
     dst.adopt(message)
     assert dst.stats.messages_sent == 1
     assert dst.stats.messages_delivered == 1
     assert dst.stats.payload_bytes == 4096
-    assert sanitized.stats()["lane_adopt"] == before + 1
 
 
-def test_transplant_conservation_holds_for_real_lanes(sanitized):
+def test_transplant_conservation_holds_for_real_lanes():
     env = Environment()
     old = SimpleNamespace(lane_ab=make_lane(env), lane_ba=make_lane(env))
     new = SimpleNamespace(lane_ab=make_lane(env), lane_ba=make_lane(env))
@@ -138,7 +160,7 @@ def test_transplant_conservation_holds_for_real_lanes(sanitized):
     assert new.lane_ba.stats.messages_delivered == 1
 
 
-def test_transplant_trips_when_new_lane_drops_messages(sanitized):
+def test_transplant_trips_when_new_lane_drops_messages(disarmed):
     env = Environment()
 
     class DroppingLane:
@@ -146,7 +168,8 @@ def test_transplant_trips_when_new_lane_drops_messages(sanitized):
 
         def __init__(self):
             self.inbox = SimpleNamespace(items=[])
-            self.stats = SimpleNamespace(messages_delivered=0)
+            self.stats = SimpleNamespace(
+                messages_sent=0, messages_delivered=0, payload_bytes=0)
             self.mechanism = Mechanism.TCP
 
         def adopt(self, message):
@@ -157,39 +180,144 @@ def test_transplant_trips_when_new_lane_drops_messages(sanitized):
     new = SimpleNamespace(lane_ab=DroppingLane(), lane_ba=DroppingLane())
     factory = SimpleNamespace(transplanted_messages=0)
 
-    with pytest.raises(SanitizerViolation, match="adopted 0 message"):
+    with pytest.raises(EngineInvariantError, match="adopted 1 message"):
         ChannelFactory.transplant(factory, old, new)
 
 
-# -- flow-state ownership ----------------------------------------------------
+class DroppingAdoptLane(Lane):
+    """A lane whose adopt loses every other message it is handed."""
+
+    def adopt(self, message) -> None:
+        self.dropped = not getattr(self, "dropped", True)
+        if not self.dropped:
+            super().adopt(message)
 
 
-def test_flow_state_guard_allows_transition_api_only(sanitized):
+@pytest.mark.parametrize("wrap", ["rate-limited", "inspected"])
+def test_transplant_trips_through_a_wrapped_lane(disarmed, wrap):
+    """The check reads the wrapper's stats, so a loss inside the lane a
+    RateLimitedLane or InspectedLane delegates to is still caught."""
+    env = Environment()
+
+    def wrapped():
+        inner = DroppingAdoptLane(env, Mechanism.RDMA)
+        if wrap == "rate-limited":
+            return RateLimitedLane(inner, TokenBucket(env, 1e9))
+        return InspectedLane(inner, Middlebox(), host=None)
+
+    old = SimpleNamespace(lane_ab=make_lane(env), lane_ba=make_lane(env))
+    for _ in range(2):
+        old.lane_ba.inbox.items.append(old.lane_ba.make_message(100))
+    new = SimpleNamespace(lane_ab=wrapped(), lane_ba=wrapped())
+    factory = SimpleNamespace(transplanted_messages=0)
+
+    with pytest.raises(EngineInvariantError,
+                       match=r"grew by \(1, 1, 100\)"):
+        ChannelFactory.transplant(factory, old, new)
+
+
+def test_flow_state_guard_allows_transition_api_only(disarmed):
     flow = FlowConnection("a", "b", channel=None, decision=None)
     assert flow.state is FlowState.RESOLVING
 
     flow._transition(FlowState.ACTIVE, "test")  # sanctioned path
     assert flow.state is FlowState.ACTIVE
 
-    with pytest.raises(SanitizerViolation, match="FlowTable"):
+    with pytest.raises(AttributeError):
         flow.state = FlowState.BROKEN
     # The guarded write never happened.
     assert flow.state is FlowState.ACTIVE
 
 
-def test_flow_created_before_install_still_guarded():
-    was_installed = sanitizer.installed()
-    if was_installed:
-        sanitizer.uninstall()
+def test_flow_created_before_install_still_guarded(disarmed):
+    """The guard does not depend on arming: a flow is read-only before,
+    while and after the sanitizer is armed."""
     flow = FlowConnection("a", "b", channel=None, decision=None)
+    with pytest.raises(AttributeError):
+        flow.state = FlowState.CLOSED
     sanitizer.install()
     try:
         assert flow.state is FlowState.RESOLVING
-        with pytest.raises(SanitizerViolation):
+        with pytest.raises(AttributeError):
             flow.state = FlowState.CLOSED
     finally:
-        if not was_installed:
-            sanitizer.uninstall()
+        sanitizer.uninstall()
+    assert flow.state is FlowState.RESOLVING
+
+
+# -- streaming-ring conservation (armed through sockets.RING_CHECK) ---------
+
+
+def short_release_consume_rx():
+    """``FreeFlowSocket._consume_rx`` releasing one ring byte short."""
+    source = textwrap.dedent(inspect.getsource(FreeFlowSocket._consume_rx))
+    mutant = source.replace("self._rx_ring.release(ring_bytes)",
+                            "self._rx_ring.release(ring_bytes - 1)")
+    assert mutant != source
+    namespace: dict = {}
+    exec(mutant, vars(sockets), namespace)
+    return namespace["_consume_rx"]
+
+
+def stream_a_few_small_messages() -> int:
+    """Client on h1 streams three ring-path messages to a server on h2."""
+    env = Environment()
+    fabric = Fabric(env)
+    cluster = ClusterOrchestrator(env)
+    for name in ("h1", "h2"):
+        cluster.add_host(Host(env, name, fabric=fabric))
+    network = FreeFlowNetwork(cluster)
+    client_c, server_c = (
+        cluster.submit(ContainerSpec(name, pinned_host=host))
+        for name, host in (("client", "h1"), ("server", "h2")))
+    network.attach(client_c)
+    network.attach(server_c)
+    layer = SocketLayer(network, streaming=True)
+    listener = layer.listen(server_c, 7300)
+    got = []
+
+    def server():
+        sock = yield from listener.accept()
+        for _ in range(3):
+            n, _payload = yield from sock.recv_exactly(64)
+            got.append(n)
+
+    def client():
+        done = env.process(server())
+        sock = layer.socket(client_c)
+        yield from sock.connect(server_c.ip, 7300)
+        for _ in range(3):
+            yield from sock.send(64)
+        yield done
+
+    env.run(until=env.process(client()))
+    return sum(got)
+
+
+def test_ring_mutant_trips_only_while_the_slot_is_armed(
+        disarmed, monkeypatch):
+    monkeypatch.setattr(FreeFlowSocket, "_consume_rx",
+                        short_release_consume_rx())
+    assert sockets.RING_CHECK is None
+    assert stream_a_few_small_messages() == 192  # nothing checks it
+
+    sanitizer.install()
+    try:
+        assert sockets.RING_CHECK is not None
+        with pytest.raises(SanitizerViolation,
+                           match="receive-ring accounting out of balance"):
+            stream_a_few_small_messages()
+        assert sanitizer.stats()["violations"] == 1
+    finally:
+        sanitizer.uninstall()
+
+
+def test_ring_check_runs_clean_on_the_real_socket(sanitized):
+    sanitizer.reset_stats()
+    assert stream_a_few_small_messages() == 192
+    stats = sanitized.stats()
+    assert stats["socket_ring"] > 0
+    assert stats["violations"] == 0
 
 
 # -- install / uninstall -----------------------------------------------------
@@ -204,11 +332,11 @@ def test_install_is_idempotent_and_uninstall_restores():
         sanitizer.install()
         sanitizer.install()  # no-op, must not arm twice
         assert len(scheduler.OBSERVERS) == len(others) + 1
+        assert sockets.RING_CHECK is not None
         sanitizer.uninstall()
         assert scheduler.OBSERVERS == others
-        assert not hasattr(FlowConnection, "state") or (
-            not isinstance(FlowConnection.__dict__.get("state"), property))
-        # A flow created while armed keeps a readable plain attribute.
+        assert sockets.RING_CHECK is None
+        assert isinstance(FlowConnection.__dict__["state"], property)
         assert sanitizer.stats() == {"installed": False}
     finally:
         if was_installed:

@@ -8,6 +8,9 @@ the same fixture live, naming both resources in the ownership chain.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.analysis import waitfor
@@ -180,7 +183,7 @@ def test_ledger_repays_fifo(armed):
 
     env.process(repay())
     env.run()
-    sign, entries = armed._state.ledgers[credits]
+    sign, entries = armed._graph(env).ledgers[credits]
     assert sign == -1  # net credit holders outstanding
     assert [(p, n) for p, n in entries] == [(second, 3)]
 
@@ -218,10 +221,65 @@ def test_live_report_names_store_wait(armed):
 
     env.process(consumer())
     env.run()
-    snapshot = armed.report()
+    snapshot = armed.report(env)
     (parked,) = snapshot["parked"]
     assert parked == {"process": "consumer", "waits_on": "inbox",
                       "kind": "store-get", "amount": None, "holders": []}
+
+
+# -- one graph per simulation -------------------------------------------------
+
+
+def _parked_simulation(name: str) -> Environment:
+    """A simulation whose one process parks on ``<name>-inbox``."""
+    env = Environment()
+    inbox = Store(env, label=f"{name}-inbox")
+
+    def consumer():
+        yield inbox.get()
+
+    env.process(consumer())
+    env.run()
+    return env
+
+
+def test_idle_report_names_only_its_own_simulation(armed):
+    first = _parked_simulation("a")
+    assert [entry["waits_on"] for entry in armed.idle_report()["parked"]] \
+        == ["a-inbox"]
+    second = _parked_simulation("b")
+    assert [entry["waits_on"] for entry in armed.idle_report()["parked"]] \
+        == ["b-inbox"]
+    assert [entry["waits_on"] for entry in armed.report(first)["parked"]] \
+        == ["a-inbox"]
+    assert [entry["waits_on"] for entry in armed.report(second)["parked"]] \
+        == ["b-inbox"]
+
+
+def test_unlabeled_names_restart_in_each_simulation(armed):
+    """Default names are numbered per simulation, so a report does not
+    depend on what ran before it under the same arming."""
+    names = []
+    for _ in range(2):
+        env = Environment()
+        Tank(env, capacity=8)  # never waited on: takes no name
+        window = Tank(env, capacity=8)
+
+        def filler(window=window):
+            yield window.put(8)
+            yield window.put(1)
+
+        env.process(filler())
+        env.run()
+        names.append([entry["waits_on"]
+                      for entry in armed.report(env)["parked"]])
+    assert names == [["tank#1"], ["tank#1"]]
+
+
+def test_dropped_simulation_with_parked_processes_is_freed(armed):
+    alive = weakref.ref(_parked_simulation("dropped"))
+    gc.collect()
+    assert alive() is None
 
 
 # -- lifecycle ----------------------------------------------------------------
@@ -253,6 +311,6 @@ def test_install_is_idempotent_and_uninstall_restores(disarmed):
 
 
 def test_report_when_not_installed(disarmed):
-    assert waitfor.report() == {"installed": False}
+    assert waitfor.report(Environment()) == {"installed": False}
     assert waitfor.stats() == {"installed": False}
     assert waitfor.idle_report() is None

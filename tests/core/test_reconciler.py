@@ -317,3 +317,54 @@ class TestLifecycleControls:
             ]
         assert states == ["resolving", "active", "paused", "rebinding",
                           "paused", "active", "closed"]
+
+
+class TestBusyReceiverDuringDrain:
+    """The pause gate holds senders only.  A receiver busy when its flow
+    is paused must still be able to consume once it returns, or a
+    backlog larger than the receive window keeps ``drain`` polling
+    forever and the rebind never happens."""
+
+    @pytest.mark.parametrize("nbytes", [1 << 20, 4 << 20])
+    def test_rebind_finishes_whatever_the_backlog_size(
+            self, env, cluster, network, nbytes):
+        for name, host in (("a0", "h1"), ("b0", "h2")):
+            network.attach(cluster.submit(
+                ContainerSpec(name, pinned_host=host)))
+        arrived = []
+        rebound = []
+
+        def rebind():
+            yield from network.reconciler.reconcile_container("a0")
+            rebound.append(env.now)
+
+        def program():
+            flow = yield from network.connect_containers("a0", "b0")
+            assert flow.mechanism is Mechanism.RDMA
+
+            def sender():
+                for k in range(4):
+                    yield from flow.a.send(nbytes, payload=k)
+
+            def receiver():
+                for n in range(4):
+                    message = yield from flow.b.recv()
+                    arrived.append(message.payload)
+                    if n == 0:
+                        # Start the rebind, then stay busy past the
+                        # pause, with the rest of the backlog undelivered.
+                        env.process(rebind())
+                        yield env.timeout(3e-3)
+
+            env.process(sender())
+            yield env.process(receiver())
+            return flow
+
+        done = env.process(program())
+        env.run(until=1.0)
+        assert done.triggered, f"{len(arrived)} of 4 messages arrived"
+        flow = done.value
+        assert arrived == [0, 1, 2, 3]
+        assert len(rebound) == 1
+        assert flow.state is FlowState.ACTIVE
+        assert flow.generation == 2

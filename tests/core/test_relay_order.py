@@ -14,9 +14,15 @@ the reference implementation, both plain (``run()``'s batched drain)
 and with the sanitizer and the wait-for graph armed (every event
 through ``step()``).
 
-First-phase messages stay small: a receiver that is busy when its flow
-is paused waits at the pause gate, so a backlog larger than the
-receiving ring would stall the rebind's drain for good.
+The pause gate holds senders only, so a receiver keeps consuming while
+the reconciler drains its flow.  The programs in :data:`DIGESTS` keep
+their first-phase messages at 1/64 of the ring, so the stalled
+receiver's backlog is still waiting when the channel is swapped and is
+transplanted.  The programs in :data:`FULL_RING_DIGESTS` let first-phase
+messages reach the full ring size: the backlog outlasts the stall, the
+receiver drains it during the pause, and the rebind follows.  When
+receives also waited at the gate, each of those stalled the drain for
+good, so they run to a sim-time horizon and fail instead of hanging.
 """
 
 from __future__ import annotations
@@ -38,15 +44,24 @@ from repro.transports import Mechanism
 
 #: Program seed -> digest of its exact delivery timeline.
 DIGESTS = {
-    1: "3e49bb375462efae",
-    8: "fcea137a85f78f3c",
+    1: "e0ebf699f6f16100",
+    8: "a2b89a1eef7fdd84",
     9: "25b4258c412ed2b3",
     15: "c942dcc8aa011816",
-    17: "cd3204d0cc5c1afb",
-    22: "258f6ff9974fe1f6",
+    17: "62db8c17df2deec3",
+    22: "ad5ae01d2c7de4bf",
     23: "2c634cf1e18769ee",
     24: "714c918a0503163c",
 }
+
+#: The same, for programs whose first-phase messages reach the full ring.
+FULL_RING_DIGESTS = {
+    41: "15b5851641d40fd5",
+    45: "a234bd12f233fc75",
+    73: "06ed148dbccbd069",
+}
+#: Sim-time bound on the full-ring programs (each closes within 25 ms).
+HORIZON_S = 1.0
 
 #: Sends are due on this grid, so senders of different flows collide.
 GRID_S = 5e-6
@@ -55,11 +70,13 @@ GRID_S = 5e-6
 STALL_S = 3e-3
 #: Sends per ticker.
 TICKS = 4
-#: First-phase messages are at most this share of the ring.
+#: First-phase messages of the :data:`DIGESTS` programs are at most this
+#: share of the ring.
 FIRST_PHASE_SHARE = 1 / 64
 
 
-def _plan(seed: int, ring_bytes: int) -> SimpleNamespace:
+def _plan(seed: int, ring_bytes: int,
+          first_share: float = FIRST_PHASE_SHARE) -> SimpleNamespace:
     """Draw the whole program up front, so no draw depends on timing."""
     rng = RandomStream(seed, "relay-order")
 
@@ -89,7 +106,7 @@ def _plan(seed: int, ring_bytes: int) -> SimpleNamespace:
         ticker = [(GRID_S * (lag + step), 1) for step in range(TICKS)]
         return [ticker] + [schedule(lag, cap) for _ in range(count - 1)]
 
-    small = int(ring_bytes * FIRST_PHASE_SHARE)
+    small = int(ring_bytes * first_share)
     flows = []
     for lag in range(rng.randint(2, 3)):
         # Flow n starts n grid steps late, so the first message on each
@@ -117,7 +134,7 @@ def _plan(seed: int, ring_bytes: int) -> SimpleNamespace:
     )
 
 
-def _run(plan: SimpleNamespace) -> SimpleNamespace:
+def _run(plan: SimpleNamespace, horizon_s=None) -> SimpleNamespace:
     env = Environment()
     fabric = Fabric(env)
     cluster = ClusterOrchestrator(env)
@@ -186,7 +203,9 @@ def _run(plan: SimpleNamespace) -> SimpleNamespace:
             yield from flows[0].a.send(1)
         out.generations = [flow.generation for flow in flows]
 
-    env.run(until=env.process(program()))
+    done = env.process(program())
+    env.run(until=done if horizon_s is None else horizon_s)
+    assert done.triggered, "the program never finished: a rebind stalled"
     out.moved = network.factory.transplanted_messages
     return out
 
@@ -225,6 +244,18 @@ def test_relay_delivery_timeline_matches_reference(mode, seed):
     out = _run(_plan(seed, ShmSpec().ring_bytes))
     assert out.moved > 0 and out.generations[0] == 2
     assert _digest(out) == DIGESTS[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(FULL_RING_DIGESTS))
+def test_full_ring_first_phase_timeline_matches_reference(mode, seed):
+    ring_bytes = ShmSpec().ring_bytes
+    plan = _plan(seed, ring_bytes, first_share=1.0)
+    assert ring_bytes in {nbytes for flow in plan.flows
+                          for senders in flow.phases[0].values()
+                          for sends in senders for _, nbytes in sends}
+    out = _run(plan, horizon_s=HORIZON_S)
+    assert out.generations[0] == 2
+    assert _digest(out) == FULL_RING_DIGESTS[seed]
 
 
 def test_programs_cover_an_idle_direction_and_both_size_extremes():

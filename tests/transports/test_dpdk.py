@@ -5,7 +5,6 @@ import weakref
 
 import pytest
 
-from repro.analysis import waitfor
 from repro.errors import TransportUnavailable
 from repro.hardware import Fabric, Host, NO_RDMA_TESTBED, to_gbps
 from repro.sim import Environment
@@ -52,18 +51,7 @@ def _dpdk_simulation():
     return env, a, b
 
 
-@pytest.fixture
-def waitfor_disarmed():
-    """The wait-for graph, when the suite arms it, keeps every process
-    and resource it has named; run with it off, re-arming it after."""
-    was_installed = waitfor.installed()
-    waitfor.uninstall()
-    yield
-    if was_installed:
-        waitfor.install()
-
-
-def test_dropped_simulation_is_freed(waitfor_disarmed):
+def test_dropped_simulation_is_freed():
     alive = weakref.ref(_dpdk_simulation()[0])
     gc.collect()
     assert alive() is None
