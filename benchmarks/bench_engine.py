@@ -37,13 +37,9 @@ from pathlib import Path
 from time import perf_counter
 
 from repro.hardware import Fabric, Host
+from repro.netstack import TcpConnection
 from repro.sim import Environment, Store, Tank
-from repro.transports import (
-    DpdkChannel,
-    RdmaChannel,
-    ShmChannel,
-    TcpFallbackChannel,
-)
+from repro.transports import DpdkChannel, RdmaChannel, ShmChannel
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
@@ -171,7 +167,7 @@ def bench_transports(n_msgs: int, msg_bytes: int = 4096) -> dict:
     fabric = Fabric(env)
     h1, h2 = Host(env, "h1", fabric=fabric), Host(env, "h2", fabric=fabric)
     results["transport_tcp"] = _run_channel(
-        env, TcpFallbackChannel(h1, h2), n_msgs, msg_bytes
+        env, TcpConnection(h1, h2), n_msgs, msg_bytes
     )
 
     return results

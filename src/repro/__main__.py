@@ -162,9 +162,10 @@ def demo_trace() -> None:
     """
     from . import telemetry
     from .hardware import Fabric, Host
+    from .netstack import TcpConnection
     from .sim import Environment
     from .telemetry import export
-    from .transports import RdmaChannel, ShmChannel, TcpFallbackChannel
+    from .transports import RdmaChannel, ShmChannel
 
     def mk_shm(env):
         return ShmChannel(Host(env, "h0"))
@@ -176,8 +177,8 @@ def demo_trace() -> None:
 
     def mk_tcp(env):
         fabric = Fabric(env)
-        return TcpFallbackChannel(Host(env, "a", fabric=fabric),
-                                  Host(env, "b", fabric=fabric))
+        return TcpConnection(Host(env, "a", fabric=fabric),
+                             Host(env, "b", fabric=fabric))
 
     for label, make in (("shm", mk_shm), ("rdma", mk_rdma),
                         ("kernel-tcp", mk_tcp)):

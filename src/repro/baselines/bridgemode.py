@@ -18,8 +18,8 @@ from typing import TYPE_CHECKING, Optional
 
 from ..cluster.container import Container
 from ..netstack.bridge import SoftwareBridge
-from ..netstack.packet import EndpointAddr
 from ..netstack.tcp import TcpConnection, TcpMode
+from ..transports.packet import EndpointAddr
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..hardware.host import Host

@@ -15,8 +15,8 @@ from typing import TYPE_CHECKING, Optional
 
 from ..cluster.container import Container
 from ..errors import AddressError
-from ..netstack.packet import EndpointAddr
 from ..netstack.tcp import TcpConnection, TcpMode
+from ..transports.packet import EndpointAddr
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.scheduler import Environment

@@ -16,9 +16,9 @@ from ..cluster.container import Container
 from ..netstack.addressing import IpPool
 from ..netstack.bridge import SoftwareBridge
 from ..netstack.overlay import OverlayRouter
-from ..netstack.packet import EndpointAddr
 from ..netstack.routing import RoutingMesh
 from ..netstack.tcp import TcpConnection, TcpMode
+from ..transports.packet import EndpointAddr
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..hardware.host import Host

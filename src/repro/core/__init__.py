@@ -24,7 +24,7 @@ from .mpi import (
 from .network import FlowConnection, FreeFlowNetwork
 from .orchestrator import ContainerRecord, NetworkOrchestrator
 from .policy import MechanismPolicy, PolicyConfig, PolicyDecision
-from .ratelimit import RateLimitedLane, TokenBucket, limit_channel
+from .ratelimit import RateLimitedLane, TokenBucket
 from .ringbuf import RingBuffer
 from .sockets import (
     RECV_MAX_BYTES,
@@ -87,7 +87,6 @@ __all__ = [
     "RelayLane",
     "RingBuffer",
     "TokenBucket",
-    "limit_channel",
     "SOCKET_TRANSLATION_CYCLES",
     "SocketLayer",
     "VNIC_POST_OVERHEAD_CYCLES",

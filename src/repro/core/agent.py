@@ -28,16 +28,16 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional
 
 from ..errors import TransportError, TransportUnavailable
+from ..netstack.tcp import TcpConnection
 from ..sim.resources import Store, Tank
 from ..transports.base import DuplexChannel, Lane, Mechanism
 from ..transports.dpdk import DpdkLane
 from ..transports.rdma import RdmaLane
 from ..transports.shmem import ShmLane
-from ..transports.tcpip import TcpFallbackChannel
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..hardware.host import Host
-    from ..netstack.packet import Message
+    from ..transports.packet import Message
 
 __all__ = ["AgentStats", "FreeFlowAgent", "RelayLane", "build_channel"]
 
@@ -72,31 +72,21 @@ class FreeFlowAgent:
         mechanism: Mechanism,
         window_bytes: int = 8 * 1024 * 1024,
     ) -> "RelayLane":
-        """One direction of an inter-host FreeFlow path toward ``peer``."""
-        backing = self._backing_lane(peer, mechanism, window_bytes)
-        return RelayLane(self, peer, backing)
-
-    def _backing_lane(
-        self,
-        peer: "FreeFlowAgent",
-        mechanism: Mechanism,
-        window_bytes: int,
-    ) -> Lane:
+        """One direction of an inter-host FreeFlow path toward ``peer``,
+        relayed over RDMA or DPDK."""
         if mechanism is Mechanism.RDMA:
-            return RdmaLane(self.host, peer.host, window_bytes)
-        if mechanism is Mechanism.DPDK:
-            return DpdkLane(self.host, peer.host, window_bytes)
-        if mechanism is Mechanism.TCP:
-            channel = TcpFallbackChannel(self.host, peer.host,
-                                         window_bytes=window_bytes)
-            return channel.lane_ab
-        raise TransportUnavailable(
-            f"agents do not relay over {mechanism.value!r}"
-        )
+            backing: Lane = RdmaLane(self.host, peer.host, window_bytes)
+        elif mechanism is Mechanism.DPDK:
+            backing = DpdkLane(self.host, peer.host, window_bytes)
+        else:
+            raise TransportUnavailable(
+                f"agents do not relay over {mechanism.value!r}"
+            )
+        return RelayLane(self, peer, backing)
 
 
 class RelayLane(Lane):
-    """container → local ring → agent → [RDMA/DPDK/TCP] → agent → container.
+    """container → local ring → agent → [RDMA/DPDK] → agent → container.
 
     The lane's mechanism reports the backing (inter-host) mechanism; the
     shared-memory hand-offs at both edges are part of the FreeFlow design
@@ -281,7 +271,7 @@ def build_channel(
             return NetVmChannel(src_agent.host)
         return src_agent.local_channel()
     if mechanism is Mechanism.TCP:
-        return TcpFallbackChannel(
+        return TcpConnection(
             src_agent.host, dst_agent.host, window_bytes=window_bytes
         )
     return DuplexChannel(

@@ -101,7 +101,8 @@ _LEGAL: dict[FlowState, frozenset] = {
 def label_channel(flow: "FlowConnection", channel: DuplexChannel) -> None:
     """Stamp both lanes with the flow id ("f<n>:<src>-><dst>") so the
     tracer and the flight recorder attribute traffic to endpoints
-    instead of anonymous per-process lane counters."""
+    instead of anonymous per-process lane counters.  A wrapped lane
+    forwards the label to the lane it wraps."""
     channel.lane_ab.flow = flow.flow_id
     channel.lane_ba.flow = flow.flow_id
 
@@ -439,17 +440,12 @@ class ChannelFactory:
         bucket_ab = network._tenant_bucket(src.tenant)
         bucket_ba = network._tenant_bucket(dst.tenant)
         if bucket_ab is not None or bucket_ba is not None:
-            from ..transports.base import ChannelEnd
             from .ratelimit import RateLimitedLane
 
-            if bucket_ab is not None:
-                channel.lane_ab = RateLimitedLane(channel.lane_ab,
-                                                  bucket_ab)
-            if bucket_ba is not None:
-                channel.lane_ba = RateLimitedLane(channel.lane_ba,
-                                                  bucket_ba)
-            channel.a = ChannelEnd(channel.lane_ab, channel.lane_ba)
-            channel.b = ChannelEnd(channel.lane_ba, channel.lane_ab)
+            channel.set_lanes(*(
+                lane if bucket is None else RateLimitedLane(lane, bucket)
+                for lane, bucket in ((channel.lane_ab, bucket_ab),
+                                     (channel.lane_ba, bucket_ba))))
         self.built += 1
         return channel
 

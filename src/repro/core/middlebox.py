@@ -20,9 +20,9 @@ target.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable
 
-from ..transports.base import DuplexChannel, Lane, Mechanism
+from ..transports.base import DuplexChannel, ForwardingLane, Lane
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..hardware.host import Host
@@ -54,45 +54,19 @@ class Middlebox:
         return self.per_message_cycles + nbytes * self.cycles_per_byte
 
 
-class InspectedLane:
+class InspectedLane(ForwardingLane):
     """A lane wrapper that funnels every send through a middlebox.
 
-    Duck-types the :class:`~repro.transports.base.Lane` surface the rest
-    of the stack uses (mechanism/stats/inbox/send/recv/close), delegating
-    everything but the inspection to the wrapped lane — so it composes
-    with shm, RDMA, DPDK and TCP alike.
+    Everything but the inspection is the wrapped lane's (see
+    :class:`~repro.transports.base.ForwardingLane`), so it composes with
+    shm, RDMA, DPDK and TCP alike.
     """
 
     def __init__(self, inner: Lane, middlebox: Middlebox,
                  host: "Host") -> None:
-        self.inner = inner
+        super().__init__(inner)
         self.middlebox = middlebox
         self.host = host
-        self.env = inner.env
-
-    @property
-    def mechanism(self) -> Mechanism:
-        return self.inner.mechanism
-
-    @property
-    def stats(self):
-        return self.inner.stats
-
-    @property
-    def inbox(self):
-        return self.inner.inbox
-
-    @property
-    def closed(self) -> bool:
-        return self.inner.closed
-
-    @property
-    def on_deliver(self):
-        return self.inner.on_deliver
-
-    @on_deliver.setter
-    def on_deliver(self, hook) -> None:
-        self.inner.on_deliver = hook
 
     def send(self, nbytes: int, payload: Any = None):
         """Inspect, then forward (generator).  Returns None on a drop."""
@@ -107,19 +81,6 @@ class InspectedLane:
         message = yield from self.inner.send(nbytes, payload)
         return message
 
-    def recv(self):
-        message = yield from self.inner.recv()
-        return message
-
-    def adopt(self, message: Any) -> None:
-        self.inner.adopt(message)
-
-    def eject_receivers(self, exception: BaseException) -> None:
-        self.inner.eject_receivers(exception)
-
-    def close(self) -> None:
-        self.inner.close()
-
 
 def wrap_channel(channel: DuplexChannel, middlebox: Middlebox,
                  src_host: "Host", dst_host: "Host") -> DuplexChannel:
@@ -128,11 +89,6 @@ def wrap_channel(channel: DuplexChannel, middlebox: Middlebox,
     Each direction is inspected on its *sending* host, where the library
     intercepts the call — the only place that sees kernel-bypass bytes.
     """
-    channel.lane_ab = InspectedLane(channel.lane_ab, middlebox, src_host)
-    channel.lane_ba = InspectedLane(channel.lane_ba, middlebox, dst_host)
-    # Rebuild the ends so they point at the wrapped lanes.
-    from ..transports.base import ChannelEnd
-
-    channel.a = ChannelEnd(channel.lane_ab, channel.lane_ba)
-    channel.b = ChannelEnd(channel.lane_ba, channel.lane_ab)
+    channel.set_lanes(InspectedLane(channel.lane_ab, middlebox, src_host),
+                      InspectedLane(channel.lane_ba, middlebox, dst_host))
     return channel

@@ -33,8 +33,8 @@ from typing import TYPE_CHECKING, Optional
 
 from ..cluster.container import ContainerStatus
 from ..errors import MigrationError, TransportUnavailable
+from ..netstack.tcp import TcpConnection
 from ..transports.rdma import RdmaLane
-from ..transports.tcpip import TcpFallbackChannel
 from .network import FreeFlowNetwork
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -178,7 +178,7 @@ class MigrationController:
         try:
             lane = RdmaLane(src, dst)
         except TransportUnavailable:
-            lane = TcpFallbackChannel(src, dst).lane_ab
+            lane = TcpConnection(src, dst).lane_ab
         chunk = 4 * 1024 * 1024
         total = max(1, int(-(-nbytes // 1)))  # ceil to whole bytes
         total_chunks = -(-total // chunk)

@@ -14,14 +14,14 @@ noisy tenant without breaking it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any
 
-from ..transports.base import DuplexChannel, Lane, Mechanism
+from ..transports.base import ForwardingLane, Lane
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.scheduler import Environment
 
-__all__ = ["TokenBucket", "RateLimitedLane", "limit_channel"]
+__all__ = ["TokenBucket", "RateLimitedLane"]
 
 
 class TokenBucket:
@@ -83,73 +83,19 @@ class TokenBucket:
             self.bytes_shaped += nbytes
 
 
-class RateLimitedLane:
+class RateLimitedLane(ForwardingLane):
     """Lane wrapper that charges a token bucket before each send.
 
-    Duck-types the lane surface, like
-    :class:`~repro.core.middlebox.InspectedLane`, and composes with it.
+    Composes with :class:`~repro.core.middlebox.InspectedLane`: both
+    forward everything but ``send`` to the lane they wrap
+    (:class:`~repro.transports.base.ForwardingLane`).
     """
 
     def __init__(self, inner: Lane, bucket: TokenBucket) -> None:
-        self.inner = inner
+        super().__init__(inner)
         self.bucket = bucket
-        self.env = inner.env
-
-    @property
-    def mechanism(self) -> Mechanism:
-        return self.inner.mechanism
-
-    @property
-    def stats(self):
-        return self.inner.stats
-
-    @property
-    def inbox(self):
-        return self.inner.inbox
-
-    @property
-    def closed(self) -> bool:
-        return self.inner.closed
-
-    @property
-    def on_deliver(self):
-        return self.inner.on_deliver
-
-    @on_deliver.setter
-    def on_deliver(self, hook) -> None:
-        self.inner.on_deliver = hook
 
     def send(self, nbytes: int, payload: Any = None):
         yield from self.bucket.take(nbytes)
         message = yield from self.inner.send(nbytes, payload)
         return message
-
-    def recv(self):
-        message = yield from self.inner.recv()
-        return message
-
-    def adopt(self, message: Any) -> None:
-        self.inner.adopt(message)
-
-    def eject_receivers(self, exception: BaseException) -> None:
-        self.inner.eject_receivers(exception)
-
-    def close(self) -> None:
-        self.inner.close()
-
-
-def limit_channel(
-    channel: DuplexChannel,
-    bucket_ab: TokenBucket,
-    bucket_ba: Optional[TokenBucket] = None,
-) -> DuplexChannel:
-    """Shape a channel: one bucket per direction (shared if one given)."""
-    from ..transports.base import ChannelEnd
-
-    channel.lane_ab = RateLimitedLane(channel.lane_ab, bucket_ab)
-    channel.lane_ba = RateLimitedLane(
-        channel.lane_ba, bucket_ba if bucket_ba is not None else bucket_ab
-    )
-    channel.a = ChannelEnd(channel.lane_ab, channel.lane_ba)
-    channel.b = ChannelEnd(channel.lane_ba, channel.lane_ab)
-    return channel

@@ -48,9 +48,9 @@ from ..errors import (
     SocketError,
     SocketShutdownError,
 )
-from ..netstack.packet import EndpointAddr
 from ..sim.resources import Resource, Store, Tank
 from ..telemetry import registry as _registry
+from ..transports.packet import EndpointAddr
 from .ringbuf import RingBuffer
 from .verbs import Opcode, WorkRequest
 

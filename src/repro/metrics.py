@@ -89,11 +89,12 @@ def _pair_in_flight(send_end, recv_end) -> int:
 
     Every supported endpoint flavour exposes one of two shapes: an
     ``_out`` lane whose stats carry both ``messages_sent`` and
-    ``messages_delivered`` (transport lanes, kernel-TCP directions), or a
-    ``_connection`` with an ``in_flight()`` method (FreeFlow connection
-    ends).  Anything else is a bug in the caller — silently answering 0
-    here used to end the drain loop early and corrupt the *next*
-    measurement on the channel, so unknown endpoints are rejected loudly.
+    ``messages_delivered`` (the end of any duplex channel, kernel TCP
+    included), or a ``_connection`` with an ``in_flight()`` method
+    (FreeFlow connection ends).  Anything else is a bug in the caller —
+    silently answering 0 here used to end the drain loop early and
+    corrupt the *next* measurement on the channel, so unknown endpoints
+    are rejected loudly.
     """
     out_lane = getattr(send_end, "_out", None)
     if out_lane is not None and hasattr(out_lane, "stats"):

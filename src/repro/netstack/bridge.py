@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..hardware.specs import KernelStackSpec
-from .packet import segment_count
+from ..transports.packet import segment_count
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..hardware.host import Host

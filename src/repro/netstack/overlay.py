@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 from ..errors import RoutingError
 from ..sim.resources import Store
 from ..telemetry import tracer as _tracer
-from .packet import EndpointAddr, Message, segment_count
+from ..transports.packet import EndpointAddr, Message, segment_count
 from .routing import RouteTable
 
 if TYPE_CHECKING:  # pragma: no cover

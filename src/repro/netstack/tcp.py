@@ -11,6 +11,14 @@ router contention instead of being asserted:
     rx stage: receiver softirq+copy (CPU, worker)
     inbox                                        <- recv() blocks here
 
+Each direction is a transport :class:`~repro.transports.base.Lane`
+(:class:`KernelLane`) and a :class:`TcpConnection` is a
+:class:`~repro.transports.base.DuplexChannel`.  The baselines and
+FreeFlow's fallback (paper §4.2: "it will fall back to the sub-optimal
+mechanism (e.g., TCP/IP)"), a host-mode connection, therefore share one
+model, traced and flight-recorded under the lane's flow label like every
+other mechanism.
+
 Three modes mirror the paper's taxonomy:
 
 * ``HOST``    — container binds the host interface; pure stack hairpin.
@@ -23,22 +31,19 @@ Three modes mirror the paper's taxonomy:
 from __future__ import annotations
 
 import enum
-from itertools import count
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from ..errors import TransportError
-from ..sim.monitor import StreamingSeries
 from ..sim.resources import Store, Tank
-from ..telemetry import flowrecords as _flowrecords
-from ..telemetry import tracer as _tracer
+from ..transports.base import ChannelEnd, DuplexChannel, Lane, Mechanism
+from ..transports.packet import EndpointAddr, Message, segment_count
 from .bridge import SoftwareBridge
 from .overlay import OverlayRouter
-from .packet import EndpointAddr, Message, segment_count
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..hardware.host import Host
 
-__all__ = ["FAULTS", "TcpMode", "TcpConnection", "TcpEnd", "TcpStats"]
+__all__ = ["FAULTS", "TcpMode", "KernelLane", "TcpConnection", "TcpEnd"]
 
 #: Process-wide fault-injection hook for the kernel receive path (the
 #: chaos subsystem's seam, mirroring ``telemetry.tracer.ACTIVE``).  When
@@ -58,44 +63,26 @@ class TcpMode(enum.Enum):
     OVERLAY = "overlay"
 
 
-class TcpStats:
-    """Per-direction delivery counters (latencies kept in O(1) memory)."""
+class KernelLane(Lane):
+    """One direction of a kernel TCP connection: its own pipeline."""
 
-    __slots__ = ("messages", "messages_sent", "payload_bytes", "latencies")
-
-    def __init__(self) -> None:
-        self.messages = 0
-        self.messages_sent = 0
-        self.payload_bytes = 0
-        self.latencies = StreamingSeries()
-
-    @property
-    def messages_delivered(self) -> int:
-        """Alias matching the transport-lane stats interface."""
-        return self.messages
-
-
-#: Monotone ids for tracer flow labels ("tcp-<mode>/<id>").
-_flow_ids = count(1)
-
-
-class _Direction:
-    """One direction of a duplex TCP connection (its own pipeline)."""
+    __slots__ = ("src_host", "dst_host", "src_addr", "dst_addr",
+                 "src_router", "dst_router", "src_bridge", "dst_bridge",
+                 "kernel", "window", "rx_queue", "tx_queue")
 
     def __init__(
         self,
-        conn: "TcpConnection",
         src_host: "Host",
         dst_host: "Host",
         src_addr: EndpointAddr,
         dst_addr: EndpointAddr,
+        window_bytes: int,
         src_router: Optional[OverlayRouter],
         dst_router: Optional[OverlayRouter],
         src_bridge: Optional[SoftwareBridge],
         dst_bridge: Optional[SoftwareBridge],
     ) -> None:
-        self.conn = conn
-        self.env = conn.env
+        super().__init__(src_host.env, Mechanism.TCP)
         self.src_host = src_host
         self.dst_host = dst_host
         self.src_addr = src_addr
@@ -105,43 +92,26 @@ class _Direction:
         self.src_bridge = src_bridge
         self.dst_bridge = dst_bridge
         self.kernel = src_host.spec.kernel
-        self.window = Tank(conn.env, capacity=conn.window_bytes)
-        self.rx_queue: Store = Store(conn.env)
-        self.inbox: Store = Store(conn.env)
-        self.stats = TcpStats()
-        #: Tracer flow label (the kernel path is not a transport Lane, so
-        #: it labels its own flows).
-        self.flow = f"tcp-{conn.mode.value}/{next(_flow_ids)}"
-        #: Cleared by the TcpLane adapter, which accounts deliveries
-        #: itself under the (flow-table-labelled) lane flow.
-        self.record_deliveries = True
-        self._closed = False
-        conn.env.process(self._rx_worker())
+        self.window = Tank(self.env, capacity=window_bytes)
+        self.rx_queue: Store = Store(self.env)
+        self.env.process(self._rx_worker())
         if self._needs_tx_worker():
-            self.tx_queue: Optional[Store] = Store(conn.env)
-            conn.env.process(self._tx_worker())
+            self.tx_queue: Optional[Store] = Store(self.env)
+            self.env.process(self._tx_worker())
         else:
             self.tx_queue = None
         if self.dst_router is not None:
-            self.dst_router.register(dst_addr, self._router_deliver)
+            self.dst_router.register(dst_addr, self._rx_enqueue)
 
     # -- send path ---------------------------------------------------------------
 
-    def send(self, nbytes: int, payload=None):
+    def send(self, nbytes: int, payload: Any = None):
         """Sender-side path (generator): syscall, stack CPU, window."""
-        if self._closed:
+        if self.closed:
             raise TransportError("connection closed")
-        message = Message(
-            size_bytes=nbytes, src=self.src_addr, dst=self.dst_addr, payload=payload
-        )
-        message.sent_at = self.env.now
-        self.stats.messages_sent += 1
-        tracer = _tracer.ACTIVE
-        trace = None
-        if tracer is not None:
-            trace = tracer.begin(self.flow, "tcp", self.env.now)
-            if trace is not None:
-                message.meta["trace"] = trace
+        message = self._open_message(nbytes, payload, self.src_addr,
+                                     self.dst_addr)
+        trace = self._trace_of(message)
         cycles = self._send_cycles(nbytes)
         mark = self.env.now
         yield from self.src_host.cpu.execute(cycles)
@@ -161,6 +131,9 @@ class _Direction:
         if trace is not None:
             trace.add("kernel", mark, self.env.now)
         self._dispatch(message)
+        # Counted once the kernel has the message, not when the call
+        # starts: a send still in the syscall is not in flight yet.
+        self.stats.messages_sent += 1
         return message
 
     def _send_cycles(self, nbytes: int) -> float:
@@ -211,11 +184,6 @@ class _Direction:
                 deliver=lambda m=message: self._off_wire(m),
             )
 
-    def _trace_of(self, message: Message):
-        if _tracer.ACTIVE is None:
-            return None
-        return message.meta.get("trace")
-
     def _off_wire(self, message: Message) -> None:
         """The device layer delivered the frame into the receiver's NIC."""
         trace = self._trace_of(message)
@@ -225,12 +193,9 @@ class _Direction:
                 trace.add("wire", start, self.env.now)
         self._rx_enqueue(message)
 
-    def _router_deliver(self, message: Message) -> None:
-        """Entry point the destination overlay router delivers into."""
-        self._rx_enqueue(message)
-
     def _rx_enqueue(self, message: Message) -> None:
-        """Feed the rx queue, honouring the :data:`FAULTS` hook."""
+        """Feed the rx queue, honouring the :data:`FAULTS` hook (also the
+        entry point the destination overlay router delivers into)."""
         faults = FAULTS
         if faults is not None:
             delay = faults.rx_delay(self, message)
@@ -258,17 +223,7 @@ class _Direction:
             yield self.window.get(max(1, message.size_bytes))
             if trace is not None:
                 trace.add("kernel", mark, self.env.now)
-            message.delivered_at = self.env.now
-            self.stats.messages += 1
-            self.stats.payload_bytes += message.size_bytes
-            self.stats.latencies.append(message.latency)
-            recorder = _flowrecords.ACTIVE
-            if recorder is not None and self.record_deliveries:
-                # The kernel path is not a transport Lane, so it feeds
-                # the flow recorder from its own delivery point.
-                recorder.on_deliver(self.flow, message.size_bytes,
-                                    self.env.now)
-            self.inbox.put(message)
+            self.deliver(message)
 
     def _recv_cycles(self, nbytes: int) -> float:
         segments = segment_count(nbytes, self.kernel.segment_bytes)
@@ -282,38 +237,21 @@ class _Direction:
             self.dst_bridge.account(nbytes)
         return cycles
 
-    def recv(self):
-        """Receiver-side blocking read (generator)."""
-        message = yield self.inbox.get()
-        tracer = _tracer.ACTIVE
-        if tracer is not None:
-            trace = message.meta.get("trace")
-            if trace is not None:
-                tracer.finish(trace, self.env.now)
-        return message
-
     def close(self) -> None:
-        self._closed = True
         if self.dst_router is not None:
             self.dst_router.unregister(self.dst_addr)
+        super().close()
 
 
-class TcpEnd:
-    """One side of a duplex connection: an outgoing and incoming lane."""
+class TcpEnd(ChannelEnd):
+    """One side of a kernel connection.
 
-    def __init__(self, out_lane: _Direction, in_lane: _Direction) -> None:
-        self._out = out_lane
-        self._in = in_lane
+    ``send`` and ``recv`` are restated here rather than inherited so the
+    kernel path has entry points of its own: ``bench/layers.py`` times
+    them as netstack spans.
+    """
 
-    @property
-    def local_addr(self) -> EndpointAddr:
-        return self._out.src_addr
-
-    @property
-    def peer_addr(self) -> EndpointAddr:
-        return self._out.dst_addr
-
-    def send(self, nbytes: int, payload=None):
+    def send(self, nbytes: int, payload: Any = None):
         """Send ``nbytes`` to the peer (generator; yield from it)."""
         result = yield from self._out.send(nbytes, payload)
         return result
@@ -323,18 +261,18 @@ class TcpEnd:
         message = yield from self._in.recv()
         return message
 
-    @property
-    def recv_stats(self) -> TcpStats:
-        return self._in.stats
 
-
-class TcpConnection:
+class TcpConnection(DuplexChannel):
     """A duplex kernel-TCP connection between two container endpoints.
 
     Parameters
     ----------
+    a_addr/b_addr:
+        The endpoints' addresses; by default port 0 and port 1 on the
+        hosts' names.
     mode:
-        Which container networking flavour (host/bridge/overlay).
+        Which container networking flavour (host/bridge/overlay).  Host
+        mode is FreeFlow's fallback when no faster mechanism is allowed.
     a_router/b_router:
         Overlay routers for the two hosts (required iff OVERLAY mode).
     a_bridge/b_bridge:
@@ -344,12 +282,14 @@ class TcpConnection:
         Socket-buffer backpressure per direction.
     """
 
+    End = TcpEnd
+
     def __init__(
         self,
         a_host: "Host",
         b_host: "Host",
-        a_addr: EndpointAddr,
-        b_addr: EndpointAddr,
+        a_addr: Optional[EndpointAddr] = None,
+        b_addr: Optional[EndpointAddr] = None,
         mode: TcpMode = TcpMode.HOST,
         a_router: Optional[OverlayRouter] = None,
         b_router: Optional[OverlayRouter] = None,
@@ -367,27 +307,22 @@ class TcpConnection:
             a_router = b_router = None
         if mode is TcpMode.HOST:
             a_bridge = b_bridge = None
-        self.env = a_host.env
+        a_addr = a_addr or EndpointAddr(a_host.name, 0)
+        b_addr = b_addr or EndpointAddr(b_host.name, 1)
         self.mode = mode
-        self.window_bytes = window_bytes
         # Intra-host overlay traffic traverses the single local router once.
         same_host = a_host is b_host
-        lane_ab = _Direction(
-            self, a_host, b_host, a_addr, b_addr,
-            src_router=a_router,
-            dst_router=(b_router if not same_host else a_router),
-            src_bridge=a_bridge, dst_bridge=b_bridge,
+        super().__init__(
+            KernelLane(
+                a_host, b_host, a_addr, b_addr, window_bytes,
+                src_router=a_router,
+                dst_router=(b_router if not same_host else a_router),
+                src_bridge=a_bridge, dst_bridge=b_bridge,
+            ),
+            KernelLane(
+                b_host, a_host, b_addr, a_addr, window_bytes,
+                src_router=b_router,
+                dst_router=(a_router if not same_host else b_router),
+                src_bridge=b_bridge, dst_bridge=a_bridge,
+            ),
         )
-        lane_ba = _Direction(
-            self, b_host, a_host, b_addr, a_addr,
-            src_router=b_router,
-            dst_router=(a_router if not same_host else b_router),
-            src_bridge=b_bridge, dst_bridge=a_bridge,
-        )
-        self.a = TcpEnd(lane_ab, lane_ba)
-        self.b = TcpEnd(lane_ba, lane_ab)
-        self._lanes = (lane_ab, lane_ba)
-
-    def close(self) -> None:
-        for lane in self._lanes:
-            lane.close()

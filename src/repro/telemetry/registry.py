@@ -1,9 +1,11 @@
 """MetricsRegistry: one queryable namespace for every counter in the sim.
 
 Before this module, every layer kept its own ad-hoc stats object
-(``LaneStats``, ``TcpStats``, ``AgentStats``, per-host utilisation
-recorders, orchestrator query counters, …) and each benchmark hand-picked
-the ones it knew about.  The registry gives them all one namespace::
+(``LaneStats``, ``AgentStats``, per-host utilisation recorders,
+orchestrator query counters, …) and each benchmark hand-picked the ones
+it knew about.  (Every data plane's lanes, kernel TCP's included, keep
+one kind of stats, ``LaneStats``.)  The registry gives them all one
+namespace::
 
     repro.lane.shm.messages_delivered     (gauge, reads LaneStats)
     repro.lane.rdma.latency_s             (histogram view over lanes)

@@ -3,13 +3,22 @@
 Shared memory for co-located containers, RDMA and DPDK for kernel-bypass
 across hosts, and kernel TCP as the universal fallback — all behind one
 lane/channel interface the agents and the policy engine program against.
+The kernel TCP lanes live with the rest of the kernel model, in
+:mod:`repro.netstack.tcp`; this package imports nothing from
+:mod:`repro.netstack`.
 """
 
-from .base import ChannelEnd, DuplexChannel, Lane, LaneStats, Mechanism
+from .base import (
+    ChannelEnd,
+    DuplexChannel,
+    ForwardingLane,
+    Lane,
+    LaneStats,
+    Mechanism,
+)
 from .dpdk import DpdkChannel, DpdkEngine, DpdkLane
 from .rdma import RdmaChannel, RdmaLane
 from .shmem import ShmChannel, ShmLane
-from .tcpip import TcpFallbackChannel, TcpLane
 
 __all__ = [
     "ChannelEnd",
@@ -17,6 +26,7 @@ __all__ = [
     "DpdkEngine",
     "DpdkLane",
     "DuplexChannel",
+    "ForwardingLane",
     "Lane",
     "LaneStats",
     "Mechanism",
@@ -24,6 +34,4 @@ __all__ = [
     "RdmaLane",
     "ShmChannel",
     "ShmLane",
-    "TcpFallbackChannel",
-    "TcpLane",
 ]

@@ -1,15 +1,18 @@
 """Common machinery for data-plane mechanisms (substrate S5).
 
-Every mechanism — shared memory, RDMA, DPDK, kernel TCP — is exposed as a
-:class:`DuplexChannel` made of two unidirectional :class:`Lane` pipelines.
-FreeFlow's network agents (and the baselines) program against this one
-interface, which is what lets the paper's policy engine swap mechanisms
-under a connection without the application noticing.
+Every mechanism — shared memory, RDMA, DPDK, and the kernel TCP path of
+:mod:`repro.netstack.tcp` — is exposed as a :class:`DuplexChannel` made of
+two unidirectional :class:`Lane` pipelines.  FreeFlow's network agents
+(and the baselines) program against this one interface, which is what
+lets the paper's policy engine swap mechanisms under a connection without
+the application noticing.  A :class:`ForwardingLane` puts a step of its
+own (a middlebox, a rate limit) in front of a lane's sends and is a lane
+everywhere else.
 
 ``send`` semantics: the generator returns once the message is accepted by
 the mechanism (bounded in-flight window => backpressure), not when it is
 delivered; ``recv`` blocks until a message arrives.  Delivery timestamps
-land on the :class:`~repro.netstack.packet.Message` for measurement.
+land on the :class:`~repro.transports.packet.Message` for measurement.
 """
 
 from __future__ import annotations
@@ -18,17 +21,18 @@ import enum
 from itertools import count
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from ..netstack.packet import EndpointAddr, Message
 from ..sim.monitor import StreamingSeries
 from ..sim.resources import Store
 from ..telemetry import flowrecords as _flowrecords
 from ..telemetry import registry as _registry
 from ..telemetry import tracer as _tracer
+from .packet import EndpointAddr, Message
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.scheduler import Environment
 
-__all__ = ["Mechanism", "LaneStats", "Lane", "ChannelEnd", "DuplexChannel"]
+__all__ = ["Mechanism", "LaneStats", "Lane", "ForwardingLane", "ChannelEnd",
+           "DuplexChannel"]
 
 #: Monotone lane ids: the default flow label is "<mechanism>/<id>".
 _lane_ids = count(1)
@@ -76,8 +80,8 @@ class Lane:
     message reaches the destination endpoint.
     """
 
-    __slots__ = ("env", "mechanism", "inbox", "stats", "closed", "on_deliver",
-                 "flow", "record_deliveries")
+    __slots__ = ("env", "mechanism", "inbox", "stats", "closed", "flow",
+                 "record_deliveries")
 
     def __init__(self, env: "Environment", mechanism: Mechanism) -> None:
         self.env = env
@@ -85,14 +89,10 @@ class Lane:
         self.inbox: Store = Store(env)
         self.stats = LaneStats()
         self.closed = False
-        #: Whether deliveries feed the flight recorder.  Composite lanes
-        #: (the agent relay, the TCP adapter) clear this on their inner
-        #: lane so each message is accounted exactly once, at the
-        #: outermost — flow-labelled — delivery point.
+        #: Whether deliveries feed the flight recorder.  The agent relay
+        #: clears this on its backing lane so each message is accounted
+        #: exactly once, at the outermost — flow-labelled — delivery point.
         self.record_deliveries = True
-        #: Hook invoked on each delivery (used by the migration machinery
-        #: and by tests that need to observe the exact delivery instant).
-        self.on_deliver: Optional[Callable[[Message], None]] = None
         #: Flow label the tracer keys traces by; connection owners may
         #: overwrite it with something meaningful ("web->db").
         self.flow = f"{mechanism.value}/{next(_lane_ids)}"
@@ -107,9 +107,22 @@ class Lane:
         src: Optional[EndpointAddr] = None,
         dst: Optional[EndpointAddr] = None,
     ) -> Message:
+        """A new message, counted as sent (see :meth:`_open_message`)."""
+        self.stats.messages_sent += 1
+        return self._open_message(nbytes, payload, src, dst)
+
+    def _open_message(
+        self,
+        nbytes: int,
+        payload: Any,
+        src: Optional[EndpointAddr],
+        dst: Optional[EndpointAddr],
+    ) -> Message:
+        """A new message stamped with its send time, its trace begun when
+        sampled.  It is not counted as sent: a lane that counts a message
+        only once the mechanism accepts it calls this directly."""
         message = Message(size_bytes=nbytes, src=src, dst=dst, payload=payload)
         message.sent_at = self.env.now
-        self.stats.messages_sent += 1
         tracer = _tracer.ACTIVE
         if tracer is not None:
             trace = tracer.begin(self.flow, self.mechanism.value,
@@ -161,8 +174,6 @@ class Lane:
         recorder = _flowrecords.ACTIVE
         if recorder is not None and self.record_deliveries:
             recorder.on_deliver(self.flow, message.size_bytes, self.env.now)
-        if self.on_deliver is not None:
-            self.on_deliver(message)
         self.inbox.put(message)
 
     def recv(self):
@@ -210,6 +221,57 @@ class Lane:
         self.closed = True
 
 
+class ForwardingLane:
+    """A lane in front of another: a subclass defines ``send``, which
+    adds a step of its own before forwarding; everything else, the flow
+    label included, is the wrapped lane's.
+
+    Forwarding ``flow`` is what lets a flow label stamped on the wrapper
+    reach the lane that traces and records the messages.
+    """
+
+    def __init__(self, inner: Lane) -> None:
+        self.inner = inner
+        self.env = inner.env
+
+    @property
+    def mechanism(self) -> Mechanism:
+        return self.inner.mechanism
+
+    @property
+    def stats(self) -> LaneStats:
+        return self.inner.stats
+
+    @property
+    def inbox(self) -> Store:
+        return self.inner.inbox
+
+    @property
+    def closed(self) -> bool:
+        return self.inner.closed
+
+    @property
+    def flow(self) -> str:
+        return self.inner.flow
+
+    @flow.setter
+    def flow(self, label: str) -> None:
+        self.inner.flow = label
+
+    def recv(self):
+        message = yield from self.inner.recv()
+        return message
+
+    def adopt(self, message: Message) -> None:
+        self.inner.adopt(message)
+
+    def eject_receivers(self, exception: BaseException) -> None:
+        self.inner.eject_receivers(exception)
+
+    def close(self) -> None:
+        self.inner.close()
+
+
 class ChannelEnd:
     """One side of a duplex channel: sends on one lane, receives on the other."""
 
@@ -241,13 +303,24 @@ class ChannelEnd:
 class DuplexChannel:
     """Two lanes glued into a bidirectional channel with ``a``/``b`` ends."""
 
+    #: The class of the two ends.
+    End = ChannelEnd
+
     def __init__(self, lane_ab: Lane, lane_ba: Lane) -> None:
         if lane_ab.mechanism is not lane_ba.mechanism:
             raise ValueError("both lanes must use the same mechanism")
+        self.set_lanes(lane_ab, lane_ba)
+
+    def set_lanes(self, lane_ab: Lane, lane_ba: Lane) -> None:
+        """Carry the channel on these lanes, with ends rebuilt over them.
+
+        Wrapping a channel's lanes (a middlebox, a rate limit) goes
+        through here, so the ends never point at the unwrapped lanes.
+        """
         self.lane_ab = lane_ab
         self.lane_ba = lane_ba
-        self.a = ChannelEnd(lane_ab, lane_ba)
-        self.b = ChannelEnd(lane_ba, lane_ab)
+        self.a = self.End(lane_ab, lane_ba)
+        self.b = self.End(lane_ba, lane_ab)
 
     @property
     def mechanism(self) -> Mechanism:

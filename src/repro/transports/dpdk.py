@@ -23,13 +23,13 @@ from typing import TYPE_CHECKING, Any, Optional
 
 from ..errors import TransportUnavailable
 from ..hardware.specs import DpdkSpec
-from ..netstack.packet import segment_count
 from ..sim.resources import Store, Tank
 from .base import DuplexChannel, Lane, Mechanism
+from .packet import segment_count
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..hardware.host import Host
-    from ..netstack.packet import Message
+    from .packet import Message
 
 __all__ = ["DpdkEngine", "DpdkLane", "DpdkChannel"]
 

@@ -28,7 +28,7 @@ from .base import DuplexChannel, Lane, Mechanism
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..hardware.host import Host
-    from ..netstack.packet import Message
+    from .packet import Message
 
 __all__ = ["RdmaLane", "RdmaChannel"]
 

@@ -174,9 +174,9 @@ class TestRelayPerformanceShapes:
         fabric2 = Fabric(env2)
         g1 = Host(env2, "g1", fabric=fabric2)
         g2 = Host(env2, "g2", fabric=fabric2)
-        from repro.transports import TcpFallbackChannel
+        from repro.netstack import TcpConnection
 
-        _stream(env2, TcpFallbackChannel(g1, g2))
+        _stream(env2, TcpConnection(g1, g2))
         tcp_cpu = g1.cpu.utilisation_percent() + g2.cpu.utilisation_percent()
 
         # Paper's core claim: similar throughput, a fraction of the CPU.

@@ -150,7 +150,7 @@ class TestTcpConnection:
                 yield from conn.b.recv()
 
         runner(flow())
-        assert conn.b.recv_stats.messages == 3
+        assert conn.b.recv_stats.messages_delivered == 3
         assert conn.b.recv_stats.payload_bytes == 300
         assert len(conn.b.recv_stats.latencies) == 3
 

@@ -7,10 +7,11 @@ import pytest
 from repro import telemetry
 from repro.hardware import Fabric, Host
 from repro.metrics import run_pingpong
+from repro.netstack import TcpConnection
 from repro.sim import Environment
 from repro.telemetry import MessageTrace, Tracer
 from repro.telemetry import tracer as tracer_module
-from repro.transports import RdmaChannel, ShmChannel, TcpFallbackChannel
+from repro.transports import RdmaChannel, ShmChannel
 
 
 # -- MessageTrace.breakdown -------------------------------------------------
@@ -157,8 +158,8 @@ def _mk_rdma(env):
 
 def _mk_tcp(env):
     fabric = Fabric(env)
-    return TcpFallbackChannel(Host(env, "a", fabric=fabric),
-                              Host(env, "b", fabric=fabric))
+    return TcpConnection(Host(env, "a", fabric=fabric),
+                         Host(env, "b", fabric=fabric))
 
 
 @pytest.mark.parametrize("make_channel", [_mk_shm, _mk_rdma, _mk_tcp],

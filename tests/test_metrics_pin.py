@@ -19,15 +19,16 @@ import pytest
 
 from repro.hardware import Fabric, Host
 from repro.metrics import run_pingpong, run_stream
+from repro.netstack import TcpConnection
 from repro.sim import Environment
 from repro.sim.rand import RandomStream
-from repro.transports import RdmaChannel, ShmChannel, TcpFallbackChannel
+from repro.transports import RdmaChannel, ShmChannel
 
 #: Mode -> digest of its stream and ping-pong numbers.
 DIGESTS = {
     "shm": "8e952faa5f96c1a1",
     "rdma": "acb350ed417f8105",
-    "tcp": "fd5ddbdd00cec573",
+    "tcp": "54540210b0177ccd",
 }
 
 
@@ -38,7 +39,7 @@ def _build(mode: str):
     if mode == "shm":
         return env, (a,), lambda: ShmChannel(a)
     b = Host(env, "b", fabric=fabric)
-    factory = RdmaChannel if mode == "rdma" else TcpFallbackChannel
+    factory = RdmaChannel if mode == "rdma" else TcpConnection
     return env, (a, b), lambda: factory(a, b)
 
 

@@ -97,20 +97,14 @@ class TestBinPackScheduling:
 
 
 class TestAgentTcpRelay:
-    def test_relay_lane_over_tcp_backing(self, env, host_pair, runner):
-        """The agent can relay over kernel TCP too (shm edges + TCP
-        trunk) even though build_channel prefers the direct TCP path."""
+    def test_relay_lane_over_tcp_backing(self, env, host_pair):
+        """Agents relay over kernel bypass only: a TCP flow goes straight
+        through the kernel path (build_channel), so there is no TCP trunk
+        behind shared-memory edges, as there is none for shm."""
         h1, h2 = host_pair
         a1, a2 = FreeFlowAgent(h1), FreeFlowAgent(h2)
-        lane = a1.relay_lane(a2, Mechanism.TCP)
-
-        def flow():
-            yield from lane.send(4096, payload="via-tcp-trunk")
-            message = yield from lane.recv()
-            return message.payload
-
-        assert runner(flow()) == "via-tcp-trunk"
-        assert a1.stats.messages_relayed == 1
+        with pytest.raises(TransportUnavailable):
+            a1.relay_lane(a2, Mechanism.TCP)
 
 
 class TestComposedPolicies:

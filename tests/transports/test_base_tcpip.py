@@ -1,16 +1,12 @@
-"""Unit tests for the lane framework and the TCP fallback adapter."""
+"""Unit tests for the lane framework and the kernel-TCP fallback channel."""
 
 import pytest
 
 from repro.errors import ChannelRebound
 from repro.hardware import Host, to_gbps
+from repro.netstack import TcpConnection
 from repro.sim import Environment
-from repro.transports import (
-    DuplexChannel,
-    Mechanism,
-    ShmLane,
-    TcpFallbackChannel,
-)
+from repro.transports import DuplexChannel, Lane, Mechanism, ShmLane
 
 
 class TestLaneFramework:
@@ -35,18 +31,6 @@ class TestLaneFramework:
         assert lane.stats.messages_delivered == 2
         assert lane.stats.payload_bytes == 300
         assert len(lane.stats.latencies) == 2
-
-    def test_on_deliver_hook_fires(self, env, host, runner):
-        lane = ShmLane(host)
-        seen = []
-        lane.on_deliver = lambda m: seen.append(m.size_bytes)
-
-        def flow():
-            yield from lane.send(123)
-            yield from lane.recv()
-
-        runner(flow())
-        assert seen == [123]
 
     def test_eject_receivers_fails_pending_gets(self, env, host):
         lane = ShmLane(host)
@@ -74,12 +58,12 @@ class TestLaneFramework:
 class TestTcpFallback:
     def test_mechanism_is_tcp(self, env, host_pair):
         h1, h2 = host_pair
-        channel = TcpFallbackChannel(h1, h2)
+        channel = TcpConnection(h1, h2)
         assert channel.mechanism is Mechanism.TCP
 
     def test_roundtrip_both_directions(self, env, host_pair, runner):
         h1, h2 = host_pair
-        channel = TcpFallbackChannel(h1, h2)
+        channel = TcpConnection(h1, h2)
 
         def flow():
             yield from channel.a.send(1000, payload="fwd")
@@ -92,7 +76,7 @@ class TestTcpFallback:
 
     def test_throughput_matches_host_mode(self, env, host_pair):
         h1, h2 = host_pair
-        channel = TcpFallbackChannel(h1, h2)
+        channel = TcpConnection(h1, h2)
         got = {"bytes": 0}
         duration = 0.02
 
@@ -112,7 +96,7 @@ class TestTcpFallback:
 
     def test_lane_stats_accumulate(self, env, host_pair, runner):
         h1, h2 = host_pair
-        channel = TcpFallbackChannel(h1, h2)
+        channel = TcpConnection(h1, h2)
 
         def flow():
             yield from channel.a.send(500)
@@ -123,3 +107,24 @@ class TestTcpFallback:
         # a's outgoing lane is b's incoming lane: same stats object.
         assert channel.a.send_stats is channel.b.recv_stats
         assert channel.b.recv_stats.messages_delivered == 1
+
+    def test_connection_is_a_duplex_channel_of_lanes(self, env, host_pair):
+        h1, h2 = host_pair
+        channel = TcpConnection(h1, h2)
+        assert isinstance(channel, DuplexChannel)
+        assert isinstance(channel.lane_ab, Lane)
+        assert channel.lane_ab.mechanism is Mechanism.TCP
+        assert channel.a.send_stats is channel.lane_ab.stats
+
+    def test_send_counts_once_the_kernel_accepts(self, env, host_pair):
+        """A send still inside the sender's syscall is not in flight: the
+        lane counts it when ``send`` returns."""
+        h1, h2 = host_pair
+        channel = TcpConnection(h1, h2)
+        stats = channel.a.send_stats
+        sending = env.process(channel.a.send(1 << 20))
+        env.run(until=1e-6)
+        assert sending.is_alive
+        assert stats.messages_sent == 0
+        env.run(until=sending)
+        assert stats.messages_sent == 1
