@@ -14,7 +14,8 @@ metrics come out:
   flow BROKEN (detection is lease-expiry-driven: nobody calls
   ``fail_host``), then from the respawns to every one ACTIVE again;
 * **control-plane memory** — flight-recorder state size, KV footprint
-  (keys / history / watches) and peak RSS.
+  (keys / history / watches), peak RSS and GC-tracked objects per
+  flow.  The object count is exact, so it repeats from run to run.
 
 The watch-dispatch counters ride along: ``checks/event`` stays flat as
 the fleet grows because dispatch walks the key trie, not the watch set.
@@ -26,7 +27,7 @@ Results merge into ``BENCH_datacenter.json`` keyed by ``--label``::
 
 ``--smoke`` runs 64 hosts / 2k flows and asserts the flow-setup rate
 stays above ``--floor`` flows/sec (CI's control-plane scaling trip
-wire).  The cyclic GC is disabled for the run: with ~50 live objects
+wire).  The cyclic GC is disabled for the run: with ~18 live objects
 per flow the collector's pauses would otherwise dominate the measured
 rates without ever finding garbage (everything stays reachable).
 """
@@ -202,6 +203,12 @@ def peak_rss_kb() -> int:
     return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
 
+def gc_tracked() -> int:
+    """Live GC-tracked objects, after a full collection."""
+    gc.collect()
+    return len(gc.get_objects())
+
+
 def memory_report(cluster, network, recorder, n_flows: int) -> dict:
     ckv, nkv = cluster.kv, network.orchestrator.kv
     rss = peak_rss_kb()
@@ -232,9 +239,15 @@ def run_suite(hosts: int, racks: int, per_host: int, n_flows: int,
         env, cluster, network, names, build_wall = build_fleet(
             hosts, racks, per_host
         )
+        fleet_objects = gc_tracked()
         flows, setup = setup_flows(env, network, names, n_flows, seed)
         failure = fail_rack(env, cluster, network, rack="rack0")
         memory = memory_report(cluster, network, recorder, n_flows)
+        # Counted after peak RSS is read: the census list is not the
+        # fleet's memory.
+        memory["gc_tracked_per_flow"] = (
+            (gc_tracked() - fleet_objects) / n_flows if n_flows else 0.0
+        )
     finally:
         _flowrecords.ACTIVE = previous
     return {
@@ -320,8 +333,9 @@ def main(argv=None) -> int:
     print(f"  repair           {failure['repair_sim_s']*1e3:.0f} ms sim / "
           f"{failure['repair_wall_s']:.2f} s wall")
     print(f"  memory           peak RSS {memory['peak_rss_kb']:,} KiB "
-          f"({memory['rss_kb_per_flow']:.1f} KiB/flow), recorder state "
-          f"{memory['recorder_state_size']}")
+          f"({memory['rss_kb_per_flow']:.1f} KiB/flow, "
+          f"{memory['gc_tracked_per_flow']:.2f} GC-tracked objects/flow), "
+          f"recorder state {memory['recorder_state_size']}")
 
     if not args.no_write:
         merge_and_write(args.output, args.label, record)

@@ -182,7 +182,7 @@ class Watch:
 
     def has_pending(self) -> bool:
         """True if any delivery (queued or still buffered) is pending."""
-        return bool(self.queue.items) or bool(self._buffer)
+        return len(self.queue) > 0 or bool(self._buffer)
 
     def pending(self) -> list[WatchEvent]:
         """Non-blocking drain of already-delivered events.

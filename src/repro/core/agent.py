@@ -113,13 +113,34 @@ class RelayLane(Lane):
         dst_shm = dst_agent.host.spec.shm
         self.src_spec = src_shm
         self.dst_spec = dst_shm
-        self.src_ring = Tank(self.env, capacity=src_shm.ring_bytes)
-        self.dst_ring = Tank(self.env, capacity=dst_shm.ring_bytes)
+        #: The shared rings' occupancy tanks, built on first use (see
+        #: :attr:`src_ring`); their memory is accounted from the start.
+        self._src_ring: Optional[Tank] = None
+        self._dst_ring: Optional[Tank] = None
         src_agent.host.memory.allocate(src_shm.ring_bytes)
         dst_agent.host.memory.allocate(dst_shm.ring_bytes)
         #: The agent tx worker's queue, created with the worker by the
         #: first send (see :meth:`Lane._hand_off`).
         self._tx: Optional[Store] = None
+
+    @property
+    def src_ring(self) -> Tank:
+        """The sending container's shared ring.  Built on first use, as
+        most flows of a fleet never send."""
+        ring = self._src_ring
+        if ring is None:
+            ring = self._src_ring = Tank(self.env,
+                                         capacity=self.src_spec.ring_bytes)
+        return ring
+
+    @property
+    def dst_ring(self) -> Tank:
+        """The receiving container's shared ring, built on first use."""
+        ring = self._dst_ring
+        if ring is None:
+            ring = self._dst_ring = Tank(self.env,
+                                         capacity=self.dst_spec.ring_bytes)
+        return ring
 
     # -- container-side send --------------------------------------------------------
 

@@ -468,10 +468,9 @@ class ChannelFactory:
             (old.lane_ab, new.lane_ab),
             (old.lane_ba, new.lane_ba),
         ):
-            items = list(old_lane.inbox.items)
+            items = old_lane.inbox.drain()
             if not items:
                 continue
-            old_lane.inbox.items.clear()
             stats = new_lane.stats
             before = (stats.messages_sent, stats.messages_delivered,
                       stats.payload_bytes)
@@ -482,13 +481,13 @@ class ChannelFactory:
             grew = (stats.messages_sent - before[0],
                     stats.messages_delivered - before[1],
                     stats.payload_bytes - before[2])
-            if grew != adopted or old_lane.inbox.items:
+            if grew != adopted or len(old_lane.inbox):
                 raise EngineInvariantError(
                     f"transplant broke conservation on the new "
                     f"{new_lane.mechanism.value} lane: it adopted "
                     f"{adopted[0]} message(s) of {adopted[2]} byte(s) but "
                     f"sent/delivered/payload grew by {grew}, and "
-                    f"{len(old_lane.inbox.items)} message(s) stayed in "
+                    f"{len(old_lane.inbox)} message(s) stayed in "
                     f"the old inbox — messages were lost or forged during "
                     f"the channel swap"
                 )
@@ -589,7 +588,7 @@ class FlowReconciler:
         self.running = False
         for watch in self._watches:
             watch.cancel()
-            watch.queue.items.clear()
+            watch.queue.drain()
         self._watches = []
         self._procs = []
         _events.emit(self.env, "reconciler.stop")

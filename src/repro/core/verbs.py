@@ -239,10 +239,10 @@ class CompletionQueue:
         self.overflowed = False
 
     def __len__(self) -> int:
-        return len(self._cqes.items)
+        return len(self._cqes)
 
     def push(self, wc: WorkCompletion) -> None:
-        if len(self._cqes.items) >= self.depth:
+        if len(self._cqes) >= self.depth:
             # Real NICs move the QP to error on CQ overrun; surfacing the
             # bug loudly beats silently dropping completions.
             self.overflowed = True

@@ -27,17 +27,22 @@ when the relevant wait queue is empty, so FIFO ordering and the
 no-starvation property are preserved exactly (see
 ``tests/sim/test_resources.py::TestStoreFastPath``).
 
-The wait queues are plain lists, not deques: an empty ``deque``
-preallocates a 64-slot block (~760 B), an idle flow owns a dozen
-stores and tanks, and a wait queue almost never holds more than one
-waiter, so ``pop(0)`` costs what ``popleft()`` did.
+A store's buffer and a store's or tank's wait queues start as one
+shared empty tuple, ``_EMPTY``, and become a real ``deque`` or list on
+the first put or park.  Most stores of a fleet never see an item (an
+idle flow owns four), an empty ``deque`` preallocates a 64-slot block
+(~760 B), and an empty list is one more object for the cycle collector
+to walk.  Only the methods below write these fields; readers treat the
+tuple as any empty sequence.  The wait queues are plain lists, not
+deques: a wait queue almost never holds more than one waiter, so
+``pop(0)`` costs what ``popleft()`` did.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from operator import attrgetter
-from typing import TYPE_CHECKING, Any, Callable, Deque, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from .events import Event
 
@@ -67,6 +72,19 @@ __all__ = [
 WAITS = None
 
 _priority = attrgetter("priority")
+
+#: The buffer or wait queue of a store or tank that has never held an
+#: item or a waiter.  Immutable, so sharing it is safe: whatever would
+#: add to it swaps in a container of its own first.
+_EMPTY: tuple = ()
+
+
+def _park(queue, event: Event) -> list:
+    """``queue`` with ``event`` appended, a new list if it was ``_EMPTY``."""
+    if queue is _EMPTY:
+        return [event]
+    queue.append(event)
+    return queue
 
 
 class Request(Event):
@@ -192,18 +210,20 @@ class StorePut(Event):
             # item on the spot.  Triggering before waking any parked gets
             # keeps the event order identical to the queued path.
             self.succeed()
-            store.items.append(item)
+            items = store.items
+            if items is _EMPTY:
+                items = store.items = deque()
+            items.append(item)
             if store._get_queue:
                 store._trigger()
             return
-        store._put_queue.append(self)
+        store._put_queue = _park(store._put_queue, self)
         store._trigger()
 
     def _abandon(self) -> None:
-        try:
-            self.store._put_queue.remove(self)
-        except ValueError:  # pragma: no cover - already satisfied
-            pass
+        queue = self.store._put_queue
+        if self in queue:  # else already satisfied
+            queue.remove(self)
 
 
 class StoreGet(Event):
@@ -224,7 +244,8 @@ class StoreGet(Event):
             else:
                 match = store._find(predicate)
                 if match is None:
-                    store._get_queue.append(self)
+                    # Nothing matches, and nothing else can have changed.
+                    store._get_queue = _park(store._get_queue, self)
                     return
                 index, item = match
                 del store.items[index]
@@ -233,14 +254,13 @@ class StoreGet(Event):
                 # Our take freed a slot: admit the oldest blocked put.
                 store._trigger()
             return
-        store._get_queue.append(self)
+        store._get_queue = _park(store._get_queue, self)
         store._trigger()
 
     def _abandon(self) -> None:
-        try:
-            self.store._get_queue.remove(self)
-        except ValueError:  # pragma: no cover - already satisfied
-            pass
+        queue = self.store._get_queue
+        if self in queue:  # else already satisfied
+            queue.remove(self)
 
 
 class Store:
@@ -264,9 +284,10 @@ class Store:
         self.env = env
         self.label = label
         self.capacity = capacity
-        self.items: Deque[Any] = deque()
-        self._put_queue: list[StorePut] = []
-        self._get_queue: list[StoreGet] = []
+        #: Buffered items, oldest first: a ``deque`` from the first put.
+        self.items: deque | tuple = _EMPTY
+        self._put_queue: list[StorePut] | tuple = _EMPTY
+        self._get_queue: list[StoreGet] | tuple = _EMPTY
 
     def __len__(self) -> int:
         return len(self.items)
@@ -309,13 +330,24 @@ class Store:
             self._trigger()
         return items
 
+    def fail_getters(self, exception: BaseException) -> None:
+        """Fail every parked get with ``exception``, oldest first.
+
+        A channel swap uses this to wake the receivers parked on an old
+        inbox, which then retry on the new channel.
+        """
+        getters, self._get_queue = self._get_queue, _EMPTY
+        for get in getters:
+            get.fail(exception)
+
     # -- internals --------------------------------------------------------
 
     def _trigger(self) -> None:
         progressed = True
         while progressed:
             progressed = False
-            # Admit puts while capacity allows.
+            # Admit puts while capacity allows.  A put parks only on a
+            # full buffer, so the buffer is a deque by now.
             while self._put_queue and len(self.items) < self.capacity:
                 put = self._put_queue.pop(0)
                 self.items.append(put.item)
@@ -351,10 +383,11 @@ class TankPut(Event):
         self.amount = amount
 
     def _abandon(self) -> None:
-        try:
-            self.tank._puts.remove(self)
-        except ValueError:  # pragma: no cover - already satisfied
-            pass
+        queue = self.tank._puts
+        if self in queue:  # else already satisfied
+            queue.remove(self)
+            # Waiters are served head-of-line: one behind may fit now.
+            self.tank._trigger()
 
 
 class TankGet(Event):
@@ -368,10 +401,11 @@ class TankGet(Event):
         self.amount = amount
 
     def _abandon(self) -> None:
-        try:
-            self.tank._gets.remove(self)
-        except ValueError:  # pragma: no cover - already satisfied
-            pass
+        queue = self.tank._gets
+        if self in queue:  # else already satisfied
+            queue.remove(self)
+            # Waiters are served head-of-line: one behind may fit now.
+            self.tank._trigger()
 
 
 class Tank:
@@ -398,8 +432,8 @@ class Tank:
         self.label = label
         self.capacity = capacity
         self._level = float(initial)
-        self._puts: list[TankPut] = []
-        self._gets: list[TankGet] = []
+        self._puts: list[TankPut] | tuple = _EMPTY
+        self._gets: list[TankGet] | tuple = _EMPTY
 
     @property
     def level(self) -> float:
@@ -419,7 +453,7 @@ class Tank:
                 self._trigger()
         else:
             event = TankPut(self, amount)
-            self._puts.append(event)
+            self._puts = _park(self._puts, event)
             # No _trigger: the head put still does not fit (queue was
             # non-empty or this put overflows), and the level did not
             # change, so no queued get can have become satisfiable either.
@@ -439,7 +473,7 @@ class Tank:
                 self._trigger()
         else:
             event = TankGet(self, amount)
-            self._gets.append(event)
+            self._gets = _park(self._gets, event)
         if WAITS is not None:
             WAITS.tank(self, event, amount, -1)
         return event

@@ -57,15 +57,24 @@ class LaneStats:
     ``latencies`` is a :class:`~repro.sim.monitor.StreamingSeries`: exact
     count/sum/min/max plus a bounded reservoir for percentiles, so a lane
     that delivers millions of messages does not grow memory linearly.
+    It is built on first use: most lanes of a fleet never deliver.
     """
 
-    __slots__ = ("messages_sent", "messages_delivered", "payload_bytes", "latencies")
+    __slots__ = ("messages_sent", "messages_delivered", "payload_bytes",
+                 "_latencies")
 
     def __init__(self) -> None:
         self.messages_sent = 0
         self.messages_delivered = 0
         self.payload_bytes = 0
-        self.latencies = StreamingSeries()
+        self._latencies: Optional[StreamingSeries] = None
+
+    @property
+    def latencies(self) -> StreamingSeries:
+        series = self._latencies
+        if series is None:
+            series = self._latencies = StreamingSeries()
+        return series
 
     def record_delivery(self, message: Message) -> None:
         self.messages_delivered += 1
@@ -212,10 +221,7 @@ class Lane:
         parked receivers are woken with :class:`ChannelRebound` and retry
         against the new channel.
         """
-        pending = list(self.inbox._get_queue)
-        self.inbox._get_queue.clear()
-        for get in pending:
-            get.fail(exception)
+        self.inbox.fail_getters(exception)
 
     def close(self) -> None:
         self.closed = True

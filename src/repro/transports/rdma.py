@@ -36,7 +36,8 @@ __all__ = ["RdmaLane", "RdmaChannel"]
 class RdmaLane(Lane):
     """One direction of a reliable RDMA connection (one queue pair)."""
 
-    __slots__ = ("src_host", "dst_host", "window", "_sq", "_rx")
+    __slots__ = ("src_host", "dst_host", "_window", "_window_bytes", "_sq",
+                 "_rx")
 
     def __init__(
         self,
@@ -51,7 +52,8 @@ class RdmaLane(Lane):
             raise TransportUnavailable(f"{dst_host.name} has no RDMA NIC")
         self.src_host = src_host
         self.dst_host = dst_host
-        self.window = Tank(src_host.env, capacity=window_bytes)
+        self._window: Optional[Tank] = None
+        self._window_bytes = window_bytes
         #: The NIC workers' queues, created with their workers by the
         #: first message (see :meth:`Lane._hand_off`).
         self._sq: Optional[Store] = None
@@ -60,6 +62,16 @@ class RdmaLane(Lane):
     @property
     def loopback(self) -> bool:
         return self.src_host is self.dst_host
+
+    @property
+    def window(self) -> Tank:
+        """The flow-control window: bytes posted but not yet consumed.
+        Built on first use, as most queue pairs of a fleet never send."""
+        window = self._window
+        if window is None:
+            window = self._window = Tank(self.env,
+                                         capacity=self._window_bytes)
+        return window
 
     # -- host-side API ------------------------------------------------------------
 

@@ -148,7 +148,7 @@ def test_transplant_conservation_holds_for_real_lanes():
     new = SimpleNamespace(lane_ab=make_lane(env), lane_ba=make_lane(env))
     for lane, count in ((old.lane_ab, 3), (old.lane_ba, 1)):
         for _ in range(count):
-            lane.inbox.items.append(lane.make_message(100))
+            lane.inbox.put(lane.make_message(100))
     factory = SimpleNamespace(transplanted_messages=0)
 
     moved = ChannelFactory.transplant(factory, old, new)
@@ -176,7 +176,7 @@ def test_transplant_trips_when_new_lane_drops_messages(disarmed):
             pass
 
     old = SimpleNamespace(lane_ab=make_lane(env), lane_ba=make_lane(env))
-    old.lane_ab.inbox.items.append(old.lane_ab.make_message(100))
+    old.lane_ab.inbox.put(old.lane_ab.make_message(100))
     new = SimpleNamespace(lane_ab=DroppingLane(), lane_ba=DroppingLane())
     factory = SimpleNamespace(transplanted_messages=0)
 
@@ -207,7 +207,7 @@ def test_transplant_trips_through_a_wrapped_lane(disarmed, wrap):
 
     old = SimpleNamespace(lane_ab=make_lane(env), lane_ba=make_lane(env))
     for _ in range(2):
-        old.lane_ba.inbox.items.append(old.lane_ba.make_message(100))
+        old.lane_ba.inbox.put(old.lane_ba.make_message(100))
     new = SimpleNamespace(lane_ab=wrapped(), lane_ba=wrapped())
     factory = SimpleNamespace(transplanted_messages=0)
 
