@@ -30,11 +30,9 @@ class BandwidthPipe:
     chunk_bytes:
         Granularity of time-sharing.  Smaller chunks are fairer but cost
         more simulation events.
-    lanes:
-        Number of transfers served simultaneously (each at ``rate/lanes``
-        while more than one is active is *not* modelled; lanes > 1 simply
-        allows that many chunk holders at full rate — use 1 for strict
-        serialisation, which is the right model for a bus or a link).
+
+    One chunk is on the pipe at a time: strict serialisation, which is
+    the right model for a bus or a link.
     """
 
     def __init__(
@@ -42,7 +40,6 @@ class BandwidthPipe:
         env: "Environment",
         rate_bytes: float,
         chunk_bytes: int = 64 * 1024,
-        lanes: int = 1,
         name: str = "pipe",
     ) -> None:
         if rate_bytes <= 0:
@@ -53,7 +50,7 @@ class BandwidthPipe:
         self.name = name
         self.rate_bytes = float(rate_bytes)
         self.chunk_bytes = int(chunk_bytes)
-        self._slots = Resource(env, capacity=lanes)
+        self._slots = Resource(env, capacity=1)
         self._busy = TimeWeighted(env)
         self._bytes_moved = 0.0
 
@@ -90,7 +87,7 @@ class BandwidthPipe:
         return self.env.now - start
 
     def utilisation(self) -> float:
-        """Time-weighted mean occupancy in [0, lanes]."""
+        """Time-weighted busy fraction in [0, 1]."""
         return self._busy.mean()
 
     def reset_accounting(self) -> None:

@@ -8,12 +8,20 @@ which is where 40 Gb/s RDMA tops out — while the fabric core never
 congests.  Oversubscribed racks and a contended core are the fat-tree
 subclass's job (:class:`~repro.hardware.topology.FatTreeFabric`, e.g.
 ``core_rate_scale=0.25``).
+
+Both fabrics end every crossing in the same place: one FIFO delivery
+stage per (src, dst) pair, which waits out the last hop's latency,
+honours partitions, pays the destination NIC's ingress, records the
+message's ``wire`` trace segment and delivers.  The single switch feeds
+it straight after egress, as an empty path; the fat-tree after the last
+link.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
+from ..sim.resources import Store
 from ..telemetry import registry as _registry
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -36,12 +44,12 @@ class Fabric:
         self.switch_latency_s = switch_latency_s
         self.propagation_s = propagation_s
         self._nics: list["PhysicalNic"] = []
-        #: Per-(src, dst) landing queues: arrivals at a destination NIC
+        #: Per-(src, dst) delivery stages: arrivals at a destination NIC
         #: from one source are processed strictly in order, so a small
         #: message can never overtake a large one on the same path.
-        self._landing: dict[tuple[int, int], object] = {}
+        self._stages: dict[tuple[int, int], Store] = {}
         #: Active partitions: (side_a, side_b) pairs of NIC id-sets whose
-        #: cross traffic is parked at the core stage until :meth:`heal`.
+        #: cross traffic is parked at the delivery stage until :meth:`heal`.
         self._partitions: list[tuple[frozenset[int], frozenset[int]]] = []
         self._heal_event = None
         registry = _registry.ACTIVE
@@ -65,11 +73,14 @@ class Fabric:
         """Cut connectivity between the NICs in ``side_a`` and ``side_b``.
 
         In-flight and newly sent traffic crossing the cut is *parked* at
-        the fabric's core stage — not dropped — and resumes after
-        :meth:`heal`, modelling a reliable link layer that retransmits
-        until the path returns (byte conservation holds across the
-        outage).  Traffic within either side is unaffected.  Multiple
-        partitions stack; ``heal()`` clears them all.
+        the pair's delivery stage, before the destination's ingress —
+        not dropped — and resumes after :meth:`heal`, modelling a
+        reliable link layer that retransmits until the path returns
+        (byte conservation and order hold across the outage).  A
+        message already in ingress when the cut starts completes;
+        the ones queued behind it park.  Traffic within either side is
+        unaffected.  Multiple partitions stack; ``heal()`` clears them
+        all.
         """
         a = frozenset(id(nic) for nic in side_a)
         b = frozenset(id(nic) for nic in side_b)
@@ -97,7 +108,7 @@ class Fabric:
         return False
 
     def _healed(self):
-        """The event parked core workers wait on (created lazily)."""
+        """The event parked delivery stages wait on (created lazily)."""
         if self._heal_event is None:
             self._heal_event = self.env.event()
         return self._heal_event
@@ -115,66 +126,73 @@ class Fabric:
         deliver: Callable[[], None],
         priority: int = 0,
         flow=None,
+        trace=None,
     ):
         """Carry ``wire_bytes`` from ``src`` to ``dst`` (generator).
 
         The calling process pays the *egress* serialisation; propagation
-        and the destination's ingress happen in a spawned process so that
-        back-to-back sends pipeline, as on a real wire.  ``deliver`` is
-        invoked once the last byte has cleared the destination NIC.
+        and the destination's ingress happen in the pair's delivery
+        stage, so back-to-back sends pipeline, as on a real wire.
+        ``deliver`` is invoked once the last byte has cleared the
+        destination NIC.
 
         ``flow`` is an optional hashable flow identity.  The single
         switch has one path, so it is ignored here; the fat-tree
         subclass (:class:`~repro.hardware.topology.FatTreeFabric`)
         ECMP-hashes it to pick among equal-cost paths.
+
+        ``trace`` is the message's open trace (None when untraced); the
+        fabric records its ``wire`` segment, from this call to delivery.
         """
         del flow  # single-path fabric: no routing decision to make
         if src.fabric is not self or dst.fabric is not self:
             raise ValueError("both NICs must be attached to this fabric")
         if src is dst:
             raise ValueError("use host-local channels for loopback traffic")
+        sent_at = self.env.now
         yield from src.egress.transfer(wire_bytes, priority=priority)
-        queue = self._landing_queue(src, dst)
-        queue.put((self.env.now + self.one_way_latency_s, wire_bytes,
-                   priority, deliver))
+        # A single switch is an empty path: straight to delivery.
+        self._arrive(src, dst, wire_bytes, priority, deliver, trace,
+                     sent_at, None)
 
-    def _landing_queue(self, src: "PhysicalNic", dst: "PhysicalNic"):
-        from ..sim.resources import Store
-
+    def _arrive(self, src, dst, wire_bytes, priority, deliver, trace,
+                sent_at, order) -> None:
+        """Queue a message at the (src, dst) delivery stage, arriving
+        one switch hop from now.  ``order`` is the fat-tree's (flowlet
+        key, sequence number), which the stage hands to its
+        :class:`~repro.hardware.topology.FlowletTracer`; None on a
+        single switch."""
         key = (id(src), id(dst))
-        queue = self._landing.get(key)
-        if queue is None:
-            queue = Store(self.env)
-            ingress_queue = Store(self.env)
-            self._landing[key] = queue
-            # Two chained stage workers per path: the core stage and the
-            # ingress stage pipeline across messages while each stage
-            # stays FIFO, so order is preserved at full stage rate.
-            self.env.process(self._core_worker(src, dst, queue, ingress_queue))
-            self.env.process(self._ingress_worker(dst, ingress_queue))
-        return queue
+        stage = self._stages.get(key)
+        if stage is None:
+            stage = self._stages[key] = Store(self.env)
+            self.env.process(self._delivery_stage(src, dst, stage))
+        stage.put((self.env.now + self.one_way_latency_s, wire_bytes,
+                   priority, deliver, trace, sent_at, order))
 
-    def _core_worker(self, src, dst, queue, ingress_queue):
-        """Stage 1: propagation wait, then the partition check.
+    def _delivery_stage(self, src, dst, stage):
+        """The last stage of every (src, dst) path, strictly FIFO.
 
-        While a partition cuts this (src, dst) path the worker parks on
-        the fabric's heal event, holding the message (and everything
-        queued behind it, preserving order) until connectivity returns.
+        Waits for the arrival time, parks on the heal event while a
+        partition cuts the pair (holding everything queued behind, so
+        order survives the outage), serialises on the destination NIC's
+        ingress, checks flowlet order (fat-tree only), closes the
+        ``wire`` segment and delivers.
         """
+        env = self.env
         while True:
-            arrival_at, wire_bytes, priority, deliver = yield queue.get()
-            wait = arrival_at - self.env.now
+            (arrival_at, wire_bytes, priority, deliver, trace, sent_at,
+             order) = yield stage.get()
+            wait = arrival_at - env.now
             if wait > 0:
-                yield self.env.timeout(wait)
+                yield env.timeout(wait)
             while self.partitioned(src, dst):
                 yield self._healed()
-            ingress_queue.put((wire_bytes, priority, deliver))
-
-    def _ingress_worker(self, dst: "PhysicalNic", ingress_queue):
-        """Stage 2: destination-NIC ingress serialisation + delivery."""
-        while True:
-            wire_bytes, priority, deliver = yield ingress_queue.get()
             yield from dst.ingress.transfer(wire_bytes, priority=priority)
+            if order is not None:
+                self.tracer.observe(*order)
+            if trace is not None:
+                trace.add("wire", sent_at, env.now)
             deliver()
 
     def path_latency(self, wire_bytes: float, rate_bytes: float) -> float:

@@ -9,18 +9,20 @@ per-link contention: two flows ECMP-hashed onto the same agg→core link
 really do halve each other.
 
 :class:`FatTreeFabric` keeps the existing transfer contract — callers
-still invoke ``fabric.send(src_nic, dst_nic, wire_bytes, deliver)`` and
-pay the source NIC's egress serialisation themselves — so hosts, NICs
-and every transport are untouched.  Behind that API each message:
+still invoke ``fabric.send(src_nic, dst_nic, wire_bytes, deliver,
+trace=...)`` and pay the source NIC's egress serialisation themselves —
+so hosts, NICs and every transport are untouched.  Behind that API each
+message:
 
 1. gets a route from the :class:`~repro.netstack.pathsel.PathSelector`
    (ECMP on the flow key, re-hashed at flowlet boundaries);
 2. traverses the hop sequence through per-link FIFO queues, paying each
-   link's store-and-forward latency and serialisation (pipelined across
-   messages, like the base fabric's staged workers);
-3. lands in a per-(src, dst) delivery stage that honours partitions
-   (parked, not dropped — same reliable-link-layer semantics as the
-   base class) and pays the destination NIC's ingress.
+   link's store-and-forward latency and serialisation (one worker per
+   link, so messages pipeline across hops);
+3. lands in the base fabric's per-(src, dst) delivery stage, the same
+   one a single switch feeds straight after egress: it honours
+   partitions (parked, not dropped), pays the destination NIC's
+   ingress, checks flowlet order and records the ``wire`` segment.
 
 **Failures.** ``fail_link`` kills both directions of a cable: queued
 messages are drained and deterministically detoured, new selections
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Optional
 
+from ..sim.resources import Store
 from ..telemetry.registry import counter_inc
 from .bandwidth import BandwidthPipe
 from .link import Fabric
@@ -285,17 +288,19 @@ class _Transit:
     """One message crossing the tree: route + bookkeeping, mutable."""
 
     __slots__ = ("src", "dst", "dst_edge", "wire_bytes", "priority",
-                 "deliver", "path", "hop", "flow_key", "flowlet_key",
-                 "seq", "ready_at")
+                 "deliver", "trace", "sent_at", "path", "hop",
+                 "flowlet_key", "seq", "ready_at")
 
     def __init__(self, src, dst, dst_edge, wire_bytes, priority, deliver,
-                 route) -> None:
+                 trace, sent_at, route) -> None:
         self.src = src
         self.dst = dst
         self.dst_edge = dst_edge
         self.wire_bytes = wire_bytes
         self.priority = priority
         self.deliver = deliver
+        self.trace = trace
+        self.sent_at = sent_at
         self.path = route.path
         self.hop = 0
         self.flowlet_key = route.flowlet_key
@@ -377,12 +382,8 @@ class FatTreeFabric(Fabric):
         self.tracer = FlowletTracer()
         #: NIC -> attachment port (edge assignment is port-order).
         self._ports: dict[int, int] = {}
-        #: (src port, dst port) -> per-pair delivery Store.
-        self._arrivals: dict[tuple[int, int], object] = {}
         super().__init__(env, switch_latency_s=switch_latency_s,
                          propagation_s=propagation_s)
-        from ..sim.resources import Store
-
         for link in self.topology.links():
             link.queue = Store(env)
             env.process(self._link_worker(link))
@@ -424,24 +425,27 @@ class FatTreeFabric(Fabric):
         deliver: Callable[[], None],
         priority: int = 0,
         flow=None,
+        trace=None,
     ):
         """Carry ``wire_bytes`` across the tree (generator).
 
         Same contract as :meth:`Fabric.send`: the caller pays egress
-        serialisation; the rest happens in staged workers so
-        back-to-back sends pipeline.
+        serialisation; the link workers and the delivery stage do the
+        rest, so back-to-back sends pipeline.  ``wire`` spans the whole
+        crossing, from this call to delivery.
         """
         if src.fabric is not self or dst.fabric is not self:
             raise ValueError("both NICs must be attached to this fabric")
         if src is dst:
             raise ValueError("use host-local channels for loopback traffic")
+        sent_at = self.env.now
         yield from src.egress.transfer(wire_bytes, priority=priority)
         route = self.selector.route(
             self.env.now, self.edge_of(src), self.edge_of(dst),
             self._flow_key(src, dst, flow),
         )
         transit = _Transit(src, dst, self.edge_of(dst), wire_bytes,
-                           priority, deliver, route)
+                           priority, deliver, trace, sent_at, route)
         counter_inc("repro.fabric.messages")
         self._forward(transit)
 
@@ -457,8 +461,9 @@ class FatTreeFabric(Fabric):
             transit.ready_at = self.env.now + self.one_way_latency_s
             link.queue.put(transit)
             return
-        transit.ready_at = self.env.now + self.one_way_latency_s
-        self._arrival_queue(transit.src, transit.dst).put(transit)
+        self._arrive(transit.src, transit.dst, transit.wire_bytes,
+                     transit.priority, transit.deliver, transit.trace,
+                     transit.sent_at, (transit.flowlet_key, transit.seq))
 
     def _link_worker(self, link: FabricLink):
         """FIFO server for one directed link (store-and-forward)."""
@@ -477,32 +482,6 @@ class FatTreeFabric(Fabric):
                                           priority=transit.priority)
             transit.hop += 1
             self._forward(transit)
-
-    def _arrival_queue(self, src: "PhysicalNic", dst: "PhysicalNic"):
-        """Per-(src, dst) delivery stage (partition park + NIC ingress)."""
-        from ..sim.resources import Store
-
-        key = (self._ports[id(src)], self._ports[id(dst)])
-        queue = self._arrivals.get(key)
-        if queue is None:
-            queue = Store(self.env)
-            self._arrivals[key] = queue
-            self.env.process(self._delivery_worker(src, dst, queue))
-        return queue
-
-    def _delivery_worker(self, src, dst, queue):
-        """Final stage: partition semantics, ingress wire, delivery."""
-        while True:
-            transit = yield queue.get()
-            wait = transit.ready_at - self.env.now
-            if wait > 0:
-                yield self.env.timeout(wait)
-            while self.partitioned(src, dst):
-                yield self._healed()
-            yield from dst.ingress.transfer(transit.wire_bytes,
-                                            priority=transit.priority)
-            self.tracer.observe(transit.flowlet_key, transit.seq)
-            transit.deliver()
 
     # -- failures ------------------------------------------------------------
 

@@ -16,7 +16,7 @@ control plane.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable
 
 from ..errors import RoutingError
 from ..sim.resources import Store
@@ -145,24 +145,14 @@ class OverlayRouter:
         while True:
             message = yield queue.get()
             yield self.env.timeout(self.spec.traversal_latency_s)
-            if (_tracer.ACTIVE is not None
-                    and message.meta.get("trace") is not None):
-                message.meta["wire_start"] = self.env.now
             yield from fabric.send(
                 self.host.nic,
                 peer.host.nic,
                 self.wire_bytes(message.size_bytes),
-                deliver=lambda m=message: self._off_wire(peer, m),
+                deliver=lambda m=message: peer.submit(m),
+                trace=(message.meta.get("trace")
+                       if _tracer.ACTIVE is not None else None),
             )
-
-    def _off_wire(self, peer: "OverlayRouter", message: Message) -> None:
-        """Tunnel delivery into the peer router's ingress queue."""
-        if _tracer.ACTIVE is not None:
-            trace = message.meta.get("trace")
-            start = message.meta.pop("wire_start", None)
-            if trace is not None and start is not None:
-                trace.add("wire", start, self.env.now)
-        peer.submit(message)
 
     def _deliver_after(
         self, delay: float, deliver: Callable[[Message], None], message: Message

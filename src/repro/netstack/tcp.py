@@ -175,23 +175,13 @@ class KernelLane(Lane):
                     f"hosts {self.src_host.name}/{self.dst_host.name} share no fabric"
                 )
             wire = self.kernel.wire_bytes(message.size_bytes)
-            if self._trace_of(message) is not None:
-                message.meta["wire_start"] = self.env.now
             yield from fabric.send(
                 self.src_host.nic,
                 self.dst_host.nic,
                 wire,
-                deliver=lambda m=message: self._off_wire(m),
+                deliver=lambda m=message: self._rx_enqueue(m),
+                trace=self._trace_of(message),
             )
-
-    def _off_wire(self, message: Message) -> None:
-        """The device layer delivered the frame into the receiver's NIC."""
-        trace = self._trace_of(message)
-        if trace is not None:
-            start = message.meta.pop("wire_start", None)
-            if start is not None:
-                trace.add("wire", start, self.env.now)
-        self._rx_enqueue(message)
 
     def _rx_enqueue(self, message: Message) -> None:
         """Feed the rx queue, honouring the :data:`FAULTS` hook (also the

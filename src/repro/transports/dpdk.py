@@ -156,18 +156,16 @@ class DpdkLane(Lane):
                     f"{self.src_host.name} is not attached to a fabric"
                 )
             wire = self.src_host.spec.kernel.wire_bytes(message.size_bytes)
-            if self._trace_of(message) is not None:
-                message.meta["wire_start"] = self.env.now
             yield from fabric.send(
                 self.src_host.nic,
                 self.dst_host.nic,
                 wire,
                 deliver=lambda m=message: self._off_wire(m),
+                trace=self._trace_of(message),
             )
 
     def _off_wire(self, message: "Message") -> None:
         """The wire delivered into the destination PMD's RX ring."""
-        self._close_span(message, "wire", "wire_start")
         if self._trace_of(message) is not None:
             message.meta["nic_start"] = self.env.now
         self.dst_engine.submit(message, lambda m=message: self._rx_landed(m))

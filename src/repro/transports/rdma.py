@@ -20,7 +20,7 @@ pipeline head.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from ..errors import TransportUnavailable
 from ..sim.resources import Store, Tank
@@ -118,10 +118,6 @@ class RdmaLane(Lane):
             yield self.env.timeout(nic.spec.dma_latency_s)
             if trace is not None:
                 trace.add("nic", mark, self.env.now)
-                # Close the wire span when the payload actually lands on
-                # the far NIC (the deliver callback), not when the
-                # overlapped DMA/wire barrier below resolves.
-                message.meta["wire_start"] = self.env.now
             yield from self._dma_and_wire(message)
             message = yield self._sq.get()
 
@@ -130,10 +126,7 @@ class RdmaLane(Lane):
         dma_done = self.env.process(self._dma(self.src_host, message.size_bytes))
         wire = self.src_host.nic.spec.rdma_wire_bytes(message.size_bytes)
         if self.loopback:
-            # Hairpin through the NIC's internal path at wire rate.
-            wire_done = self.env.process(
-                self._loopback_wire(wire, lambda: self._remote_rx(message))
-            )
+            wire_done = self.env.process(self._loopback_wire(wire, message))
         else:
             fabric = self.src_host.fabric
             if fabric is None:
@@ -141,28 +134,33 @@ class RdmaLane(Lane):
                     f"{self.src_host.name} is not attached to a fabric"
                 )
             wire_done = self.env.process(
-                self._fabric_wire(fabric, wire, lambda: self._remote_rx(message))
+                self._fabric_wire(fabric, wire, message)
             )
         yield self.env.all_of([dma_done, wire_done])
 
     def _dma(self, host: "Host", nbytes: int):
         yield from host.dma(nbytes)
 
-    def _loopback_wire(self, wire_bytes: int, deliver: Callable[[], None]):
+    def _loopback_wire(self, wire_bytes: int, message: "Message"):
+        """Hairpin through the NIC's internal path at wire rate.  No
+        fabric is crossed, so the lane records the ``wire`` span."""
+        start = self.env.now
         yield from self.src_host.nic.egress.transfer(wire_bytes)
-        deliver()
+        trace = self._trace_of(message)
+        if trace is not None:
+            trace.add("wire", start, self.env.now)
+        self._remote_rx(message)
 
-    def _fabric_wire(self, fabric, wire_bytes: int, deliver: Callable[[], None]):
+    def _fabric_wire(self, fabric, wire_bytes: int, message: "Message"):
+        # The fabric closes ``wire`` when the payload lands on the far
+        # NIC, not when the overlapped DMA/wire barrier resolves.
         yield from fabric.send(
-            self.src_host.nic, self.dst_host.nic, wire_bytes, deliver=deliver
+            self.src_host.nic, self.dst_host.nic, wire_bytes,
+            deliver=lambda: self._remote_rx(message),
+            trace=self._trace_of(message),
         )
 
     def _remote_rx(self, message: "Message") -> None:
-        trace = self._trace_of(message)
-        if trace is not None:
-            start = message.meta.pop("wire_start", None)
-            if start is not None:
-                trace.add("wire", start, self.env.now)
         self._rx = self._hand_off(self._rx, self._nic_rx_worker, message)
 
     def _nic_rx_worker(self, message: "Message"):

@@ -1,8 +1,12 @@
 """Unit tests for the NIC and the switched fabric."""
 
+import gc
+from collections import Counter
+
 import pytest
 
 from repro.hardware import Fabric, Host, NicSpec, PhysicalNic, PAPER_TESTBED
+from repro.sim import Process, Store
 
 
 def test_nic_capabilities_follow_spec(env):
@@ -126,6 +130,34 @@ def test_pipelined_sends_reach_link_rate(env):
     total = 10 * message
     rate = total / delivered[-1]
     assert rate == pytest.approx(h1.nic.spec.goodput_bytes, rel=0.15)
+
+
+def test_each_communicating_pair_costs_one_process_and_one_store(env):
+    """The flat fabric builds one delivery stage, a process and its
+    Store, per communicating (src, dst) pair on the pair's first
+    message."""
+    fabric = Fabric(env)
+    nics = [PhysicalNic(env) for _ in range(3)]
+    for nic in nics:
+        fabric.attach(nic)
+    pairs = [(0, 1), (1, 0), (0, 2)]
+
+    def traffic():
+        for _ in range(3):
+            for src, dst in pairs:
+                yield from fabric.send(nics[src], nics[dst], 4096,
+                                       lambda: None)
+
+    gc.collect()
+    before = Counter(map(type, gc.get_objects()))
+    driver = env.process(traffic())
+    env.run()
+    gc.collect()
+    grew = Counter(map(type, gc.get_objects()))
+    grew.subtract(before)
+    assert driver.processed
+    assert grew[Process] == 1 + len(pairs)  # the driver, then the stages
+    assert grew[Store] == len(pairs)
 
 
 def test_host_assembles_paper_testbed(env, fabric):

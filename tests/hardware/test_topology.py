@@ -3,8 +3,10 @@
 import pytest
 
 from repro.errors import RoutingError
-from repro.hardware import FatTreeFabric, FatTreeTopology, PhysicalNic
+from repro.hardware import Fabric, FatTreeFabric, FatTreeTopology, PhysicalNic
 from repro.hardware.topology import FlowletTracer
+from repro.netstack.pathsel import FLOWLET_GAP_S, PathSelector
+from repro.sim import Environment
 
 
 # ---------------------------------------------------------------- topology
@@ -270,27 +272,193 @@ def test_no_alive_path_raises(env):
         env.run()
 
 
-def test_partition_parks_until_heal(env):
+def _cut_pair(env, kind):
+    """A fabric of ``kind`` and a (src, dst) NIC pair on it; on the
+    fat-tree the pair sits in different pods."""
+    if kind == "flat":
+        fabric = Fabric(env)
+        nics = [PhysicalNic(env) for _ in range(2)]
+        for nic in nics:
+            fabric.attach(nic)
+        return fabric, nics[0], nics[1]
     fabric, nics = _tree(env)
-    src, dst = nics[0], nics[4]
-    fabric.partition([src], [dst])
+    return fabric, nics[0], nics[4]
+
+
+@pytest.mark.parametrize("kind", ["flat", "fat-tree"])
+def test_partition_parks_until_heal(env, kind):
+    """A cut parks traffic at the delivery stage, before ingress, and
+    heal releases it in order with every byte.  The cut lands while the
+    first message is in ingress: that one completes, and the small one
+    already queued behind it parks."""
+    fabric, src, dst = _cut_pair(env, kind)
+    sizes = [256 * 1024, 64, 4096, 64 * 1024]
+    late = 1500  # sent into the cut
+    delivered = []
+    first_ingress = sizes[0] / dst.spec.goodput_bytes
+    cut_at = fabric.path_latency(sizes[0], dst.spec.goodput_bytes) \
+        - first_ingress / 2
+    heal_at = 1e-3
+
+    def deliver(i, size):
+        return lambda: delivered.append((i, size, env.now))
+
+    def sender():
+        for i, size in enumerate(sizes):
+            yield from fabric.send(src, dst, size, deliver(i, size))
+        yield env.timeout(heal_at / 2 - env.now)
+        assert fabric.partitioned(src, dst)
+        yield from fabric.send(src, dst, late, deliver(len(sizes), late))
+
+    def cut():
+        yield env.timeout(cut_at)
+        fabric.partition([src], [dst])
+
+    env.process(sender())
+    env.process(cut())
+    env.run(until=heal_at)
+    assert [i for i, _, _ in delivered] == [0]
+    fabric.heal()
+    env.run()
+    assert [i for i, _, _ in delivered] == list(range(len(sizes) + 1))
+    assert sum(size for _, size, _ in delivered) == sum(sizes) + late
+    assert all(at >= heal_at for _, _, at in delivered[1:])
+    if kind == "fat-tree":
+        assert fabric.reorders() == 0
+
+
+# ------------------------------------------- degenerate modes: flat fabric
+
+
+def _mixed_incast(fabric_cls, **kwargs):
+    """Two senders on one edge stream mixed sizes into a third host on
+    that edge; returns every delivery as (sender, index, time)."""
+    env = Environment()
+    fabric = fabric_cls(env, **kwargs)
+    nics = [PhysicalNic(env) for _ in range(3)]
+    for nic in nics:
+        fabric.attach(nic)
+    sizes = {"a": [64, 256 * 1024, 1500, 64 * 1024,
+                   9000, 128 * 1024, 512, 4096],
+             "b": [256 * 1024, 64, 32 * 1024, 1500,
+                   128 * 1024, 64, 9000, 64 * 1024]}
     delivered = []
 
+    def sender(src, tag):
+        for i, size in enumerate(sizes[tag]):
+            yield from fabric.send(
+                src, nics[2], size,
+                lambda tag=tag, i=i: delivered.append((tag, i, env.now)),
+            )
+
+    env.process(sender(nics[0], "a"))
+    env.process(sender(nics[1], "b"))
+    env.run()
+    return delivered
+
+
+def test_same_edge_traffic_is_exactly_the_flat_fabric():
+    """Hosts on one edge switch share no fabric link: on a fat-tree
+    their traffic is an empty path into the flat fabric's delivery
+    stage, so every delivery lands at the same time, in the same order,
+    even with two senders contending for one ingress."""
+    flat = _mixed_incast(Fabric)
+    assert len(flat) == 16
+    assert _mixed_incast(FatTreeFabric, k=6) == flat
+
+
+def _lone_delivery(fabric_cls, dst_port, size, **kwargs):
+    """Sim time at which one message from port 0 to ``dst_port`` lands
+    on an otherwise idle fabric, and the fabric it crossed."""
+    env = Environment()
+    fabric = fabric_cls(env, **kwargs)
+    nics = [PhysicalNic(env) for _ in range(dst_port + 1)]
+    for nic in nics:
+        fabric.attach(nic)
+    done = []
+
     def go():
-        yield from fabric.send(src, dst, 4096, lambda: delivered.append(env.now))
+        yield from fabric.send(nics[0], nics[dst_port], size,
+                               lambda: done.append(env.now))
 
     env.process(go())
     env.run()
-    assert not delivered
+    return done[0], fabric
 
-    def mend():
-        yield env.timeout(1e-3)
-        fabric.heal()
 
-    env.process(mend())
-    env.run()
-    assert len(delivered) == 1
-    assert delivered[0] >= 1e-3
+def test_uncontended_tree_path_is_flat_plus_per_hop_terms():
+    """Each fat-tree link adds one store-and-forward hop, its
+    serialisation plus the switch's one-way latency, to the flat
+    fabric's time: two links inside a pod, four across pods."""
+    size = 64 * 1024
+    flat, fabric = _lone_delivery(Fabric, 1, size)
+    hop = (size / fabric.nics[0].spec.goodput_bytes
+           + fabric.one_way_latency_s)
+    same_pod, _ = _lone_delivery(FatTreeFabric, 2, size, k=4)
+    cross_pod, _ = _lone_delivery(FatTreeFabric, 4, size, k=4)
+    assert same_pod == flat + 2 * hop
+    assert cross_pod == flat + 4 * hop
+
+
+# ------------------------------------------- degenerate modes: plain ECMP
+
+
+def _paths_taken(fabric, flows, rounds, gap_s):
+    """Send one message per flow per round, idle ``gap_s`` between
+    rounds, and return the (sorted) names of the links each message
+    crossed."""
+    env = fabric.env
+    links = fabric.topology.links()
+    taken = []
+    for _ in range(rounds):
+        for src, dst, flow in flows:
+            moved = [link.pipe.bytes_moved for link in links]
+
+            def go():
+                yield from fabric.send(src, dst, 4096, lambda: None,
+                                       flow=flow)
+
+            env.run(until=env.process(go()))
+            env.run()
+            taken.append(tuple(sorted(
+                link.name for link, before in zip(links, moved)
+                if link.pipe.bytes_moved > before)))
+        env.run(until=env.now + gap_s)
+    return taken
+
+
+def _ecmp_flows(nics):
+    """Three flows on each of four host pairs, cross-pod and in-pod."""
+    return [(nics[src], nics[dst], flow)
+            for src, dst in ((0, 4), (1, 5), (2, 4), (0, 2))
+            for flow in range(3)]
+
+
+def test_infinite_flowlet_gap_is_plain_ecmp():
+    """``flowlet_gap_s=inf`` never re-hashes: across idle gaps far above
+    FLOWLET_GAP_S every flow stays on the path a plain-ECMP selector
+    picks for it.  The default fabric, given the same traffic, moves
+    flows."""
+    rounds, gap = 4, 50 * FLOWLET_GAP_S
+    env = Environment()
+    fabric, nics = _tree(env, flowlet_gap_s=float("inf"))
+    flows = _ecmp_flows(nics)
+    taken = _paths_taken(fabric, flows, rounds, gap)
+    ecmp = PathSelector(fabric.topology, flowlet_gap_s=None)
+    expected = []
+    for src, dst, flow in flows * rounds:
+        key = (fabric.port_of(src), fabric.port_of(dst), flow)
+        route = ecmp.route(0.0, fabric.edge_of(src), fabric.edge_of(dst), key)
+        expected.append(tuple(sorted(link.name for link in route.path)))
+    assert taken == expected
+    assert fabric.selector.rehashes == 0
+
+    env = Environment()
+    flowlet, nics = _tree(env)
+    moved = _paths_taken(flowlet, _ecmp_flows(nics), rounds, gap)
+    count = len(flows)
+    assert flowlet.selector.rehashes > 0
+    assert any(len(set(moved[i::count])) > 1 for i in range(count))
 
 
 def test_quickstart_fat_tree_cluster():

@@ -5,13 +5,19 @@ from __future__ import annotations
 import pytest
 
 from repro import telemetry
-from repro.hardware import Fabric, Host
+from repro.hardware import Fabric, FatTreeFabric, Host
 from repro.metrics import run_pingpong
-from repro.netstack import TcpConnection
+from repro.netstack import (
+    EndpointAddr,
+    OverlayRouter,
+    RoutingMesh,
+    TcpConnection,
+    TcpMode,
+)
 from repro.sim import Environment
 from repro.telemetry import MessageTrace, Tracer
 from repro.telemetry import tracer as tracer_module
-from repro.transports import RdmaChannel, ShmChannel
+from repro.transports import DpdkChannel, RdmaChannel, ShmChannel
 
 
 # -- MessageTrace.breakdown -------------------------------------------------
@@ -162,8 +168,53 @@ def _mk_tcp(env):
                          Host(env, "b", fabric=fabric))
 
 
-@pytest.mark.parametrize("make_channel", [_mk_shm, _mk_rdma, _mk_tcp],
-                         ids=["shm", "rdma", "tcp"])
+def _mk_dpdk(env):
+    fabric = Fabric(env)
+    return DpdkChannel(Host(env, "a", fabric=fabric),
+                       Host(env, "b", fabric=fabric))
+
+
+def _mk_overlay(env):
+    fabric = Fabric(env)
+    a, b = Host(env, "a", fabric=fabric), Host(env, "b", fabric=fabric)
+    mesh = RoutingMesh(env)
+    a_router = OverlayRouter(a, mesh.join("a"))
+    b_router = OverlayRouter(b, mesh.join("b"))
+    a_router.connect_peer(b_router)
+    mesh.announce("10.40.0.2", "a", immediate=True)
+    mesh.announce("10.40.0.3", "b", immediate=True)
+    return TcpConnection(
+        a, b, EndpointAddr("10.40.0.2", 1), EndpointAddr("10.40.0.3", 1),
+        mode=TcpMode.OVERLAY, a_router=a_router, b_router=b_router,
+    )
+
+
+def _mk_rdma_fat_tree(env):
+    # k=2 puts its two host ports in different pods: four links apart.
+    fabric = FatTreeFabric(env, k=2)
+    return RdmaChannel(Host(env, "a", fabric=fabric),
+                       Host(env, "b", fabric=fabric))
+
+
+def _mk_rdma_loopback(env):
+    host = Host(env, "h0", fabric=Fabric(env))
+    return RdmaChannel(host, host)
+
+
+#: Every traced data path: shared memory stays on the host; the others
+#: cross a fabric (or, for RDMA loopback, hairpin through the NIC).
+CHANNELS = [
+    pytest.param(_mk_shm, id="shm"),
+    pytest.param(_mk_rdma, id="rdma"),
+    pytest.param(_mk_tcp, id="tcp"),
+    pytest.param(_mk_dpdk, id="dpdk"),
+    pytest.param(_mk_overlay, id="overlay"),
+    pytest.param(_mk_rdma_fat_tree, id="rdma-fat-tree"),
+    pytest.param(_mk_rdma_loopback, id="rdma-loopback"),
+]
+
+
+@pytest.mark.parametrize("make_channel", CHANNELS)
 def test_segments_are_time_ordered_and_sum_to_total(make_channel):
     handle, _ = _traced_pingpong(make_channel)
     assert handle.tracer.traces
@@ -177,10 +228,11 @@ def test_segments_are_time_ordered_and_sum_to_total(make_channel):
         assert sum(trace.breakdown().values()) == pytest.approx(
             trace.total_s, rel=1e-9, abs=1e-15
         )
+        wires = [name for name, _, _ in trace.segments if name == "wire"]
+        assert wires == ([] if make_channel is _mk_shm else ["wire"])
 
 
-@pytest.mark.parametrize("make_channel", [_mk_shm, _mk_rdma, _mk_tcp],
-                         ids=["shm", "rdma", "tcp"])
+@pytest.mark.parametrize("make_channel", CHANNELS)
 def test_trace_total_matches_harness_latency(make_channel):
     """The demo's acceptance criterion: trace means = measured means (<1%)."""
     handle, result = _traced_pingpong(make_channel)
