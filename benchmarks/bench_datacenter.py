@@ -14,8 +14,10 @@ metrics come out:
   flow BROKEN (detection is lease-expiry-driven: nobody calls
   ``fail_host``), then from the respawns to every one ACTIVE again;
 * **control-plane memory** — flight-recorder state size, KV footprint
-  (keys / history / watches), peak RSS and GC-tracked objects per
-  flow.  The object count is exact, so it repeats from run to run.
+  (keys / history / watches), the library's decision-cache entries
+  against its live ones (each resolve forgets the expired entries),
+  peak RSS and GC-tracked objects per flow.  The object count is exact,
+  so it repeats from run to run.
 
 The watch-dispatch counters ride along: ``checks/event`` stays flat as
 the fleet grows because dispatch walks the key trie, not the watch set.
@@ -27,9 +29,12 @@ Results merge into ``BENCH_datacenter.json`` keyed by ``--label``::
 
 ``--smoke`` runs 64 hosts / 2k flows and asserts the flow-setup rate
 stays above ``--floor`` flows/sec (CI's control-plane scaling trip
-wire).  The cyclic GC is disabled for the run: with ~18 live objects
-per flow the collector's pauses would otherwise dominate the measured
-rates without ever finding garbage (everything stays reachable).
+wire) and that an open flow holds at most
+``SMOKE_MAX_OBJECTS_PER_FLOW`` GC-tracked objects (exact, so the gate
+cannot flake).  The cyclic GC is disabled for the run: with ~8 live
+objects per flow the collector's pauses would otherwise dominate the
+measured rates without ever finding garbage (everything stays
+reachable).
 """
 
 from __future__ import annotations
@@ -64,6 +69,11 @@ DEFAULT_OUTPUT = (
 #: Host lease TTL (sim seconds).  Detection latency after a rack goes
 #: silent is bounded by one TTL plus the watch coalescing window.
 HOST_LEASE_TTL_S = 1.0
+
+#: ``--smoke`` fails above this many GC-tracked objects per open flow.
+#: An idle flow holds about 8: the flow, its channel, four lanes and its
+#: pair's decision-cache entry.
+SMOKE_MAX_OBJECTS_PER_FLOW = 10
 
 
 # -- fleet construction ------------------------------------------------------
@@ -222,6 +232,11 @@ def memory_report(cluster, network, recorder, n_flows: int) -> dict:
         "network_kv_history": len(nkv._history),
         "network_kv_watches": len(nkv._watches),
         "leases": ckv.lease_count(),
+        "decision_cache_entries": len(network._cache),
+        "decision_cache_live": sum(
+            1 for _, expiry in network._cache.values()
+            if expiry > network.env.now
+        ),
         "peak_rss_kb": rss,
         "rss_kb_per_flow": rss / n_flows if n_flows else 0.0,
     }
@@ -336,6 +351,8 @@ def main(argv=None) -> int:
           f"({memory['rss_kb_per_flow']:.1f} KiB/flow, "
           f"{memory['gc_tracked_per_flow']:.2f} GC-tracked objects/flow), "
           f"recorder state {memory['recorder_state_size']}")
+    print(f"  decision cache   {memory['decision_cache_entries']:,} entries, "
+          f"{memory['decision_cache_live']:,} live")
 
     if not args.no_write:
         merge_and_write(args.output, args.label, record)
@@ -351,11 +368,19 @@ def main(argv=None) -> int:
             f"flow setup {setup['flows_per_sec']:,.0f} flows/s below "
             f"floor {args.floor:,.0f}"
         )
+    if (args.smoke
+            and memory["gc_tracked_per_flow"] > SMOKE_MAX_OBJECTS_PER_FLOW):
+        failed.append(
+            f"{memory['gc_tracked_per_flow']:.2f} GC-tracked objects per "
+            f"flow, above {SMOKE_MAX_OBJECTS_PER_FLOW}"
+        )
     for message in failed:
         print(f"FAIL: {message}", file=sys.stderr)
     if args.smoke and not failed:
         print(f"  smoke floor ok ({setup['flows_per_sec']:,.0f} >= "
-              f"{args.floor:,.0f} flows/s)")
+              f"{args.floor:,.0f} flows/s, "
+              f"{memory['gc_tracked_per_flow']:.2f} <= "
+              f"{SMOKE_MAX_OBJECTS_PER_FLOW} objects/flow)")
     return 1 if failed else 0
 
 

@@ -93,6 +93,9 @@ class RelayLane(Lane):
     rather than a separate mechanism.
     """
 
+    __slots__ = ("src_agent", "dst_agent", "backing", "src_spec", "dst_spec",
+                 "_src_ring", "_dst_ring", "_tx")
+
     def __init__(
         self,
         src_agent: FreeFlowAgent,

@@ -175,6 +175,10 @@ class FlowConnection:
     ``AttributeError`` (rule SIM006 is the static twin).
     """
 
+    __slots__ = ("src_name", "dst_name", "channel", "decision", "qp_a",
+                 "qp_b", "generation", "flow_id", "table", "_state",
+                 "_paused", "_resume_event", "__weakref__")
+
     def __init__(
         self,
         src_name: str,
@@ -266,11 +270,8 @@ class FlowConnection:
 
     def in_flight(self) -> int:
         """Messages accepted but not yet delivered, both directions."""
-        lanes = (self.channel.lane_ab, self.channel.lane_ba)
-        return sum(
-            lane.stats.messages_sent - lane.stats.messages_delivered
-            for lane in lanes
-        )
+        channel = self.channel
+        return channel.lane_ab.in_flight() + channel.lane_ba.in_flight()
 
     def close(self, reason: str = "close") -> None:
         """Terminal transition (via the table when owned by one)."""
@@ -468,7 +469,7 @@ class ChannelFactory:
             (old.lane_ab, new.lane_ab),
             (old.lane_ba, new.lane_ba),
         ):
-            items = old_lane.inbox.drain()
+            items = old_lane.drain_inbox()
             if not items:
                 continue
             stats = new_lane.stats

@@ -34,6 +34,7 @@ connection; a positive TTL amortises it.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import TYPE_CHECKING, Optional
 
 from ..cluster.container import Container
@@ -103,7 +104,14 @@ class FreeFlowNetwork:
         self._tenant_buckets: dict[str, object] = {}
         self._agents: dict[str, FreeFlowAgent] = {}
         self._vnics: dict[str, VirtualNic] = {}
-        self._cache: dict[tuple[str, str], tuple[PolicyDecision, float]] = {}
+        #: pair -> (decision, expiry).  The TTL is one constant, so the
+        #: insertion order is the expiry order, and each resolve drops
+        #: the expired entries from the front: the cache holds the pairs
+        #: resolved within one TTL, not every pair ever resolved.  An
+        #: OrderedDict finds its oldest entry in O(1); a dict scans past
+        #: the slots its front deletions left.
+        self._cache: OrderedDict[tuple[str, str],
+                                 tuple[PolicyDecision, float]] = OrderedDict()
         #: name -> the cached pairs it is an endpoint of (dict as an
         #: ordered set), so invalidating one endpoint touches only its
         #: own entries instead of scanning the whole cache.
@@ -181,6 +189,7 @@ class FreeFlowNetwork:
         """Policy decision with library-side caching (generator)."""
         key = (src_name, dst_name)
         if self.cache_ttl_s > 0:
+            self._expire()
             cached = self._cache.get(key)
             if cached is not None and cached[1] > self.env.now:
                 self.cache_hits += 1
@@ -193,22 +202,40 @@ class FreeFlowNetwork:
                      mechanism=decision.mechanism.value,
                      reason=decision.reason)
         if self.cache_ttl_s > 0:
-            self._cache[key] = (decision, self.env.now + self.cache_ttl_s)
+            cache = self._cache
+            cache[key] = (decision, self.env.now + self.cache_ttl_s)
+            # A pair two connects resolved at once is refreshed in place:
+            # move it behind the entries it now outlives.
+            cache.move_to_end(key)
             pairs = self._cache_pairs
             for name in key:
                 pairs.setdefault(name, {})[key] = None
         return decision
 
+    def _expire(self) -> None:
+        """Drop every cached decision whose expiry has passed."""
+        cache = self._cache
+        now = self.env.now
+        while cache:
+            key = next(iter(cache))
+            if cache[key][1] > now:
+                return
+            self._drop(key)
+
+    def _drop(self, key: tuple[str, str]) -> None:
+        """Forget one cached decision, in the cache and in its index."""
+        del self._cache[key]
+        index = self._cache_pairs
+        for name in set(key):
+            pairs = index[name]
+            del pairs[key]
+            if not pairs:
+                del index[name]
+
     def invalidate(self, name: str) -> None:
         """Drop every cached decision involving ``name`` (migration)."""
-        for key in self._cache_pairs.pop(name, ()):
-            del self._cache[key]
-            for other in key:
-                if other != name:
-                    pairs = self._cache_pairs[other]
-                    del pairs[key]
-                    if not pairs:
-                        del self._cache_pairs[other]
+        for key in list(self._cache_pairs.get(name, ())):
+            self._drop(key)
 
     def enable_auto_invalidation(self) -> None:
         """Invalidate cached decisions whenever a container's published

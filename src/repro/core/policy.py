@@ -43,7 +43,7 @@ class PolicyConfig:
     shm_across_vms: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PolicyDecision:
     """The chosen mechanism plus the reasoning trail (for debuggability)."""
 

@@ -241,6 +241,8 @@ class TcpEnd(ChannelEnd):
     them as netstack spans.
     """
 
+    __slots__ = ()
+
     def send(self, nbytes: int, payload: Any = None):
         """Send ``nbytes`` to the peer (generator; yield from it)."""
         result = yield from self._out.send(nbytes, payload)

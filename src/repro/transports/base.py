@@ -54,10 +54,12 @@ class Mechanism(enum.Enum):
 class LaneStats:
     """Delivery counters for one lane.
 
+    A lane builds its stats on the first send or delivery (see
+    :attr:`Lane.stats`); most lanes of a fleet never carry a message.
     ``latencies`` is a :class:`~repro.sim.monitor.StreamingSeries`: exact
     count/sum/min/max plus a bounded reservoir for percentiles, so a lane
     that delivers millions of messages does not grow memory linearly.
-    It is built on first use: most lanes of a fleet never deliver.
+    It is built on the first delivery.
     """
 
     __slots__ = ("messages_sent", "messages_delivered", "payload_bytes",
@@ -87,27 +89,75 @@ class Lane:
 
     Subclasses implement :meth:`send`; they call :meth:`deliver` when the
     message reaches the destination endpoint.
+
+    Only a message needs the inbox and the stats, so each is built on
+    first use: the inbox on the first put or get, the stats on the first
+    send or delivery (or when an armed telemetry registry registers the
+    lane, as it aggregates the live stats objects).  The read paths
+    :meth:`in_flight`, :meth:`drain_inbox` and :meth:`eject_receivers`
+    build neither on an idle lane.
     """
 
-    __slots__ = ("env", "mechanism", "inbox", "stats", "closed", "flow",
+    __slots__ = ("env", "mechanism", "_inbox", "_stats", "closed", "_flow",
                  "record_deliveries")
 
     def __init__(self, env: "Environment", mechanism: Mechanism) -> None:
         self.env = env
         self.mechanism = mechanism
-        self.inbox: Store = Store(env)
-        self.stats = LaneStats()
+        self._inbox: Optional[Store] = None
+        self._stats: Optional[LaneStats] = None
         self.closed = False
         #: Whether deliveries feed the flight recorder.  The agent relay
         #: clears this on its backing lane so each message is accounted
         #: exactly once, at the outermost — flow-labelled — delivery point.
         self.record_deliveries = True
-        #: Flow label the tracer keys traces by; connection owners may
-        #: overwrite it with something meaningful ("web->db").
-        self.flow = f"{mechanism.value}/{next(_lane_ids)}"
+        #: The lane id until :attr:`flow` formats the default label.
+        self._flow: int | str = next(_lane_ids)
         registry = _registry.ACTIVE
         if registry is not None:
             registry.register_lane(self)
+
+    @property
+    def inbox(self) -> Store:
+        """Delivered messages awaiting :meth:`recv`; built on first use."""
+        inbox = self._inbox
+        if inbox is None:
+            inbox = self._inbox = Store(self.env)
+        return inbox
+
+    @property
+    def stats(self) -> LaneStats:
+        """The lane's counters; built on first use."""
+        stats = self._stats
+        if stats is None:
+            stats = self._stats = LaneStats()
+        return stats
+
+    @property
+    def flow(self) -> str:
+        """Flow label the tracer keys traces by: "<mechanism>/<lane id>"
+        until a connection owner overwrites it with something meaningful
+        ("web->db").  The default is formatted on first read."""
+        label = self._flow
+        if type(label) is int:
+            label = self._flow = f"{self.mechanism.value}/{label}"
+        return label
+
+    @flow.setter
+    def flow(self, label: str) -> None:
+        self._flow = label
+
+    def in_flight(self) -> int:
+        """Messages sent but not yet delivered."""
+        stats = self._stats
+        if stats is None:
+            return 0
+        return stats.messages_sent - stats.messages_delivered
+
+    def drain_inbox(self) -> list[Message]:
+        """Take every delivered message not yet received, oldest first."""
+        inbox = self._inbox
+        return [] if inbox is None else inbox.drain()
 
     def make_message(
         self,
@@ -221,7 +271,9 @@ class Lane:
         parked receivers are woken with :class:`ChannelRebound` and retry
         against the new channel.
         """
-        self.inbox.fail_getters(exception)
+        inbox = self._inbox
+        if inbox is not None:
+            inbox.fail_getters(exception)
 
     def close(self) -> None:
         self.closed = True
@@ -268,6 +320,12 @@ class ForwardingLane:
         message = yield from self.inner.recv()
         return message
 
+    def in_flight(self) -> int:
+        return self.inner.in_flight()
+
+    def drain_inbox(self) -> list[Message]:
+        return self.inner.drain_inbox()
+
     def adopt(self, message: Message) -> None:
         self.inner.adopt(message)
 
@@ -280,6 +338,8 @@ class ForwardingLane:
 
 class ChannelEnd:
     """One side of a duplex channel: sends on one lane, receives on the other."""
+
+    __slots__ = ("_out", "_in")
 
     def __init__(self, out_lane: Lane, in_lane: Lane) -> None:
         self._out = out_lane
@@ -307,7 +367,13 @@ class ChannelEnd:
 
 
 class DuplexChannel:
-    """Two lanes glued into a bidirectional channel with ``a``/``b`` ends."""
+    """Two lanes glued into a bidirectional channel with ``a``/``b`` ends.
+
+    The channel stores only its lanes: each access to :attr:`a` or
+    :attr:`b` builds a stateless end over the lanes carrying it now.
+    """
+
+    __slots__ = ("lane_ab", "lane_ba", "__weakref__")
 
     #: The class of the two ends.
     End = ChannelEnd
@@ -318,15 +384,24 @@ class DuplexChannel:
         self.set_lanes(lane_ab, lane_ba)
 
     def set_lanes(self, lane_ab: Lane, lane_ba: Lane) -> None:
-        """Carry the channel on these lanes, with ends rebuilt over them.
+        """Carry the channel on these lanes.
 
         Wrapping a channel's lanes (a middlebox, a rate limit) goes
-        through here, so the ends never point at the unwrapped lanes.
+        through here.  The ends are built per access, so every end taken
+        afterwards sends and receives through the wrappers.
         """
         self.lane_ab = lane_ab
         self.lane_ba = lane_ba
-        self.a = self.End(lane_ab, lane_ba)
-        self.b = self.End(lane_ba, lane_ab)
+
+    @property
+    def a(self) -> ChannelEnd:
+        """The ``a`` side: sends on ``lane_ab``, receives on ``lane_ba``."""
+        return self.End(self.lane_ab, self.lane_ba)
+
+    @property
+    def b(self) -> ChannelEnd:
+        """The ``b`` side: sends on ``lane_ba``, receives on ``lane_ab``."""
+        return self.End(self.lane_ba, self.lane_ab)
 
     @property
     def mechanism(self) -> Mechanism:

@@ -33,21 +33,35 @@ __all__ = ["ShmLane", "ShmChannel"]
 
 
 class ShmLane(Lane):
-    """One direction of a shared-memory ring between two local processes."""
+    """One direction of a shared-memory ring between two local processes.
 
-    __slots__ = ("host", "spec", "ring", "_rx_queue")
+    The ring's memory is accounted to the host from construction; its
+    occupancy tank (:attr:`ring`) is built on first use, as most flows
+    of a fleet never send.
+    """
+
+    __slots__ = ("host", "spec", "_ring", "_rx_queue")
 
     def __init__(self, host: "Host", spec: Optional[ShmSpec] = None) -> None:
         super().__init__(host.env, Mechanism.SHM)
         self.host = host
         self.spec = spec or host.spec.shm
-        self.ring = Tank(host.env, capacity=self.spec.ring_bytes)
+        self._ring: Optional[Tank] = None
         host.memory.allocate(self.spec.ring_bytes)
         if self.spec.zero_copy_receive:
             self._rx_queue: Optional[Store] = None
         else:
             self._rx_queue = Store(host.env)
             host.env.process(self._rx_copy_worker())
+
+    @property
+    def ring(self) -> Tank:
+        """The shared ring: bytes written but not yet consumed."""
+        ring = self._ring
+        if ring is None:
+            ring = self._ring = Tank(self.env,
+                                     capacity=self.spec.ring_bytes)
+        return ring
 
     def send(self, nbytes: int, payload: Any = None):
         """Copy one message into the ring and wake the receiver."""

@@ -1,11 +1,14 @@
 """Reference test for the library's decision cache.
 
 ``FreeFlowNetwork.invalidate(name)`` drops the cached decisions of
-every pair ``name`` is an endpoint of through a per-endpoint index.  The
-model here is the definition it replaces: a dict of pair -> expiry and
-a scan over every cached pair.  Random resolve / invalidate / clock
-programs must leave the same entries, the same expiries and the same
-hit and miss counts in both, and the index must mirror the cache.
+every pair ``name`` is an endpoint of through a per-endpoint index, and
+each ``resolve`` first drops every expired decision from the front of
+the insertion-ordered cache.  The model here is the definition they
+replace: a dict of pair -> expiry, a scan over every cached pair on
+invalidate, and, at each resolve, a scan dropping every pair whose
+expiry is at or before the current time.  Random resolve / invalidate /
+clock programs must leave the same entries, the same expiries and the
+same hit and miss counts in both, and the index must mirror the cache.
 """
 
 from hypothesis import settings, strategies as st
@@ -43,7 +46,10 @@ class DecisionCacheModel(RuleBasedStateMachine):
     @rule(src=st.sampled_from(NAMES), dst=st.sampled_from(NAMES))
     def resolve(self, src, dst):
         key = (src, dst)
-        hit = self.expiry.get(key, float("-inf")) > self.env.now
+        now = self.env.now
+        for pair in [pair for pair, at in self.expiry.items() if at <= now]:
+            del self.expiry[pair]
+        hit = key in self.expiry
         self.env.run(until=self.env.process(
             self.network.resolve(src, dst)))
         if hit:

@@ -3,7 +3,8 @@
 ``label_channel`` stamps the id (``f<n>:<src>-><dst>``) on a channel's
 two lanes.  The id must reach the lane that begins traces and records
 deliveries, whatever wraps it (a middlebox, a tenant rate limit) and
-whichever mechanism carries it, kernel TCP included.
+whichever mechanism carries it, kernel TCP included.  The channel's
+``a``/``b`` ends, built per access, must send through those wrappers.
 """
 
 from __future__ import annotations
@@ -68,3 +69,29 @@ def test_tcp_fallback_flow_is_labelled_with_its_flow_id(cluster):
     # The kernel lanes are the flow's lanes: nothing else is traced.
     assert handle.tracer.flows() == [flow.flow_id]
     assert _recorded(handle) == [flow.flow_id]
+
+
+@pytest.mark.parametrize("wrap", ["middlebox", "rate-limit", "both"])
+def test_channel_ends_send_through_the_wrapped_lanes(cluster, wrap):
+    network = FreeFlowNetwork(cluster, **WRAPS[wrap]())
+    for name, host in (("a", "h1"), ("b", "h2")):
+        network.attach(cluster.submit(ContainerSpec(name, pinned_host=host)))
+    env = cluster.env
+
+    def go():
+        flow = yield from network.connect_containers("a", "b")
+        channel = flow.channel
+        yield from channel.a.send(4096)
+        yield from channel.b.recv()
+        yield from channel.b.send(1024)
+        yield from channel.a.recv()
+        return channel
+
+    channel = env.run(until=env.process(go()))
+    assert [(end._out, end._in) for end in (channel.a, channel.b)] == [
+        (channel.lane_ab, channel.lane_ba), (channel.lane_ba, channel.lane_ab)]
+    if network.middlebox is not None:
+        assert (network.middlebox.inspected_messages,
+                network.middlebox.inspected_bytes) == (2, 5120)
+    if network.tenant_rate_limits:
+        assert network._tenant_bucket("default").bytes_shaped == 5120

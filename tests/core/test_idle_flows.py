@@ -4,8 +4,10 @@ FreeFlow picks each flow's data plane when the flow opens, so a fleet
 opens and closes many flows that never carry data.  Such a flow must
 schedule no engine event and leave no reference cycle: its lanes start
 their workers on the first message, and a closed idle flow is freed by
-reference counting alone.  It also allocates no buffer, wait queue,
-latency series, window or ring: each is built on first use.
+reference counting alone.  It also allocates no inbox, stats, buffer,
+wait queue, latency series, window or ring: each is built on first use,
+and the channel's ends are built per access.  Reading an idle flow
+(its in-flight count, a rebind, a detach) builds none of them either.
 """
 
 from __future__ import annotations
@@ -13,15 +15,17 @@ from __future__ import annotations
 import gc
 import tracemalloc
 import weakref
-from collections import Counter, deque
+from collections import Counter
+
+import pytest
 
 from repro.cluster import ClusterOrchestrator, ContainerSpec, RackAwareStrategy
-from repro.core import FreeFlowNetwork
+from repro.core import FreeFlowNetwork, FlowState
 from repro.hardware import Fabric, Host
 from repro.sim import Environment, Store, StreamingSeries, Tank
 from repro.sim.rand import RandomStream
 from repro.transports import Mechanism
-from repro.transports.base import Lane
+from repro.transports.base import ChannelEnd, Lane, LaneStats
 
 
 def _quiet(env):
@@ -89,11 +93,15 @@ def test_first_send_in_each_direction_is_delivered(
         assert lane.backing.stats.messages_delivered == 1
 
 
-#: ROADMAP item 2's budget for an idle flow, with room over the ≤16
-#: objects it aims at: 4 LaneStats, 2 ChannelEnds and the pair's
-#: decision-cache entry are still built eagerly.
-IDLE_FLOW_OBJECTS = 20
-IDLE_FLOW_BYTES = 4 * 1024
+#: ROADMAP item 2's budget for an idle inter-host RDMA flow, over the
+#: 8.3 objects and 1.3 KiB one holds here: the flow, its channel, two
+#: relay and two RDMA lanes, and the pair's decision-cache entry (a
+#: PolicyDecision in an entry tuple).  Nothing a message needs exists.
+IDLE_FLOW_OBJECTS = 9
+IDLE_FLOW_BYTES = 1536
+
+#: What only a message needs: none may exist before the first one.
+MESSAGE_STATE = (Store, LaneStats, ChannelEnd, Tank, StreamingSeries)
 
 
 def _lease_backed_fleet(hosts=16, racks=4, per_host=4):
@@ -115,22 +123,20 @@ def _lease_backed_fleet(hosts=16, racks=4, per_host=4):
     return env, cluster, network, names
 
 
-def _inter_host_pairs(cluster, names, count):
+def _pairs(cluster, names, count, same_host):
     rng = RandomStream(7, "idle-flow-budget")
     pairs = []
     while len(pairs) < count:
         a, b = (names[rng.randrange(len(names))] for _ in range(2))
-        if cluster.locate(a) is not cluster.locate(b):
+        if a != b and (cluster.locate(a) is cluster.locate(b)) == same_host:
             pairs.append((a, b))
     return pairs
 
 
-def test_an_idle_inter_host_flow_fits_its_budget():
-    """Opens inter-host RDMA flows on a small lease-backed fleet and
-    sends nothing: per flow, GC-tracked objects and traced bytes stay
-    within budget."""
-    env, cluster, network, names = _lease_backed_fleet()
-    pairs = _inter_host_pairs(cluster, names, 300)
+def _open_idle(env, network, pairs):
+    """Open a flow per pair and send nothing.  Returns the flows, the
+    growth in GC-tracked objects by type, the new objects and the bytes
+    traced while opening them."""
     flows = []
 
     def open_all():
@@ -154,15 +160,59 @@ def test_an_idle_inter_host_flow_fits_its_budget():
     grew = Counter(map(type, after))
     grew.subtract(counts)
     del after
+    return flows, grew, new, traced
+
+
+def test_an_idle_inter_host_flow_fits_its_budget():
+    """Opens inter-host RDMA flows on a small lease-backed fleet and
+    sends nothing: per flow, GC-tracked objects and traced bytes stay
+    within budget, and nothing a message needs was built."""
+    env, cluster, network, names = _lease_backed_fleet()
+    pairs = _pairs(cluster, names, 300, same_host=False)
+    flows, grew, new, traced = _open_idle(env, network, pairs)
 
     assert {flow.mechanism for flow in flows} == {Mechanism.RDMA}
     assert sum(grew.values()) / len(flows) <= IDLE_FLOW_OBJECTS, \
         grew.most_common(8)
     assert traced / len(flows) <= IDLE_FLOW_BYTES
-    # No window, ring or latency series exists before the first message,
-    # and no store holds a buffer or wait queue before its first put.
-    assert [obj for obj in new if isinstance(obj, (Tank, StreamingSeries))] \
-        == []
-    assert [ref for obj in new if isinstance(obj, Store)
-            for ref in gc.get_referents(obj)
-            if isinstance(ref, (deque, list))] == []
+    assert [obj for obj in new if isinstance(obj, MESSAGE_STATE)] == []
+
+
+def test_an_idle_intra_host_flow_builds_no_ring_or_inbox():
+    env, cluster, network, names = _lease_backed_fleet()
+    pairs = _pairs(cluster, names, 100, same_host=True)
+    flows, _, new, _ = _open_idle(env, network, pairs)
+
+    assert {flow.mechanism for flow in flows} == {Mechanism.SHM}
+    assert [obj for obj in new if isinstance(obj, (Tank, Store))] == []
+
+
+def _census() -> Counter:
+    """Live objects of each message-state type; a read built one if a
+    count grew."""
+    gc.collect()
+    return Counter(type(obj) for obj in gc.get_objects()
+                   if isinstance(obj, MESSAGE_STATE))
+
+
+@pytest.mark.parametrize("pair", [("web", "db"), ("web", "cache")],
+                         ids=["rdma", "shm"])
+def test_reading_an_idle_flow_builds_nothing(
+        env, network, three_containers, runner, pair):
+    """The reconciler's drain reads in_flight(); a rebind transplants
+    and ejects the old lanes; a detach ejects and closes.  On an idle
+    flow none of them builds an inbox, stats, end, window or ring."""
+    flows = [runner(network.connect_containers(*pair)) for _ in range(2)]
+    baseline = _census()
+
+    assert [flow.in_flight() for flow in flows] == [0, 0]
+    assert not _census() - baseline
+
+    old = flows[0].channel  # anything built on it stays countable
+    runner(network.rebind(flows[0]))
+    assert flows[0].channel is not old
+    assert not _census() - baseline
+
+    network.detach(pair[1])
+    assert [flow.state for flow in flows] == [FlowState.CLOSED] * 2
+    assert not _census() - baseline

@@ -140,6 +140,58 @@ class TestResolveCaching:
         runner(go())
         assert network.cache_misses == 2
 
+    def test_cache_holds_only_the_last_ttl_of_pairs(self, cluster, env):
+        """Distinct pairs connected over 5 TTLs: every resolve forgets the
+        expired decisions, so the cache ends with no more entries than
+        the pairs resolved within one TTL of the last resolve."""
+        ttl = 1e-3
+        network = FreeFlowNetwork(cluster, cache_ttl_s=ttl)
+        names = [f"c{i}" for i in range(6)]
+        for i, name in enumerate(names):
+            network.attach(cluster.submit(
+                ContainerSpec(name, pinned_host=f"h{1 + i % 2}")))
+        pairs = [(a, b) for a in names for b in names if a != b][:17]
+        resolved = []
+
+        def go():
+            for pair in pairs:
+                started = env.now
+                yield from network.connect_containers(*pair)
+                resolved.append(env.now)
+                yield env.timeout(0.3 * ttl)
+            return started
+
+        last_started = env.run(until=env.process(go()))
+        assert resolved[-1] - resolved[0] > 4.5 * ttl
+        recent = sum(1 for at in resolved if at > last_started - ttl)
+        assert len(network._cache) <= recent < len(pairs)
+        assert network.cache_misses == len(pairs)
+        assert set(network._cache_pairs) \
+            == {name for pair in network._cache for name in pair}
+
+    def test_a_pair_refreshed_in_place_keeps_expiry_order(
+            self, env, network, three_containers):
+        """Two resolves of one pair overlap within the query latency, and
+        another pair lands between their inserts.  The second insert
+        refreshes the first pair, which must then expire after the other
+        pair, not shield it at the front of the cache."""
+        latency = network.orchestrator.query_latency_s
+
+        def resolve_at(delay, src, dst):
+            yield env.timeout(delay)
+            yield from network.resolve(src, dst)
+
+        for step, pair in enumerate((("web", "db"), ("web", "cache"),
+                                     ("web", "db"))):
+            env.process(resolve_at(step * latency / 5, *pair))
+        env.run()
+        assert network.cache_misses == 3
+        # Between the two expiries: ("web", "cache") is stale, the
+        # refreshed ("web", "db") is not.
+        env.run(until=network.cache_ttl_s + 1.3 * latency)
+        env.run(until=env.process(network.resolve("db", "web")))
+        assert list(network._cache) == [("web", "db"), ("db", "web")]
+
     def test_resolve_costs_query_latency(self, env, network,
                                          three_containers, runner):
         def go():
