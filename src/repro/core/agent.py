@@ -24,12 +24,13 @@ simply wires a container-to-container shared-memory lane (paper Fig. 6).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
 from ..errors import TransportError, TransportUnavailable
 from ..netstack.tcp import TcpConnection
-from ..sim.resources import Store, Tank
+from ..sim.resources import Tank
+from ..sim.stage import Stage
 from ..transports.base import DuplexChannel, Lane, Mechanism
 from ..transports.dpdk import DpdkLane
 from ..transports.rdma import RdmaLane
@@ -94,7 +95,7 @@ class RelayLane(Lane):
     """
 
     __slots__ = ("src_agent", "dst_agent", "backing", "src_spec", "dst_spec",
-                 "_src_ring", "_dst_ring", "_tx")
+                 "_src_ring", "_dst_ring", "_tx", "_receiving")
 
     def __init__(
         self,
@@ -122,9 +123,11 @@ class RelayLane(Lane):
         self._dst_ring: Optional[Tank] = None
         src_agent.host.memory.allocate(src_shm.ring_bytes)
         dst_agent.host.memory.allocate(dst_shm.ring_bytes)
-        #: The agent tx worker's queue, created with the worker by the
-        #: first send (see :meth:`Lane._hand_off`).
-        self._tx: Optional[Store] = None
+        #: The agent tx stage, built on the first send.
+        self._tx: Optional[Stage] = None
+        #: Whether the agent rx worker runs: from a send until a delivery
+        #: leaves nothing in flight.
+        self._receiving = False
 
     @property
     def src_ring(self) -> Tank:
@@ -179,18 +182,21 @@ class RelayLane(Lane):
         yield self.env.timeout(self.src_spec.notify_latency_s)
         if trace is not None:
             trace.add("kernel", mark, self.env.now)
-        if self._tx is None:
+        if not self._receiving:
             # The rx worker only parks on the backing lane's inbox, so
             # its start event schedules nothing.
+            self._receiving = True
             self.env.process(self._agent_rx_worker())
-        self._tx = self._hand_off(self._tx, self._agent_tx_worker, message)
+        if self._tx is None:
+            self._tx = Stage(self.env)
+        self._tx.put(message, self._agent_tx_worker)
         return message
 
     # -- agent relay stages ------------------------------------------------------------
 
     def _agent_tx_worker(self, message: "Message"):
         """Sender-side agent: ring → backing transport."""
-        while True:
+        while message is not None:
             trace = self._trace_of(message)
             if not self.src_agent.zero_copy:
                 # Conventional proxy: copy out of the ring first.
@@ -206,10 +212,12 @@ class RelayLane(Lane):
             yield self.src_ring.get(max(1, message.size_bytes))
             self.src_agent.stats.messages_relayed += 1
             self.src_agent.stats.bytes_relayed += message.size_bytes
-            message = yield self._tx.get()
+            message = yield from self._tx.next()
 
     def _agent_rx_worker(self):
-        """Receiver-side agent: backing transport → ring → container."""
+        """Receiver-side agent: backing transport → ring → container.
+        Returns once a delivery leaves nothing in flight; the next send
+        starts it again."""
         while True:
             wrapped = yield from self.backing.recv()
             message: "Message" = wrapped.payload
@@ -239,6 +247,9 @@ class RelayLane(Lane):
             self.dst_agent.stats.messages_relayed += 1
             self.dst_agent.stats.bytes_relayed += message.size_bytes
             self.deliver(message)
+            if not self.in_flight():
+                self._receiving = False
+                return
 
     # -- container-side receive -----------------------------------------------------------
 

@@ -237,26 +237,6 @@ class FreeFlowNetwork:
         for key in list(self._cache_pairs.get(name, ())):
             self._drop(key)
 
-    def enable_auto_invalidation(self) -> None:
-        """Invalidate cached decisions whenever a container's published
-        location changes (paper §7: the library "interact[s] with the
-        orchestrator more frequently" once migration is in play).
-
-        Uses a watch on the orchestrator's KV store, so the library
-        learns about moves push-style instead of waiting out the TTL.
-        """
-        if getattr(self, "_watcher", None) is not None:
-            return
-        watch = self.orchestrator.kv.watch("/network/containers/")
-
-        def pump():
-            while True:
-                event = yield watch.queue.get()
-                name = event.key.rsplit("/", 1)[-1]
-                self.invalidate(name)
-
-        self._watcher = self.env.process(pump())
-
     # -- connection setup ---------------------------------------------------------------
 
     def connect_containers(self, src_name: str, dst_name: str):

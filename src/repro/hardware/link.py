@@ -14,14 +14,17 @@ stage per (src, dst) pair, which waits out the last hop's latency,
 honours partitions, pays the destination NIC's ingress, records the
 message's ``wire`` trace segment and delivers.  The single switch feeds
 it straight after egress, as an empty path; the fat-tree after the last
-link.
+link.  The stage is a :class:`~repro.sim.stage.Stage` that exists only
+while the pair has a message in it, so a pair that has gone idle holds
+no process and no queue.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Callable
 
-from ..sim.resources import Store
+from ..sim.stage import Stage
 from ..telemetry import registry as _registry
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -44,10 +47,11 @@ class Fabric:
         self.switch_latency_s = switch_latency_s
         self.propagation_s = propagation_s
         self._nics: list["PhysicalNic"] = []
-        #: Per-(src, dst) delivery stages: arrivals at a destination NIC
-        #: from one source are processed strictly in order, so a small
-        #: message can never overtake a large one on the same path.
-        self._stages: dict[tuple[int, int], Store] = {}
+        #: Busy per-(src, dst) delivery stages: arrivals at a destination
+        #: NIC from one source are processed strictly in order, so a
+        #: small message can never overtake a large one on the same
+        #: path.  A stage leaves the map when it goes idle.
+        self._stages: dict[tuple[int, int], Stage] = {}
         #: Active partitions: (side_a, side_b) pairs of NIC id-sets whose
         #: cross traffic is parked at the delivery stage until :meth:`heal`.
         self._partitions: list[tuple[frozenset[int], frozenset[int]]] = []
@@ -165,12 +169,12 @@ class Fabric:
         key = (id(src), id(dst))
         stage = self._stages.get(key)
         if stage is None:
-            stage = self._stages[key] = Store(self.env)
-            self.env.process(self._delivery_stage(src, dst, stage))
+            stage = self._stages[key] = Stage(self.env)
         stage.put((self.env.now + self.one_way_latency_s, wire_bytes,
-                   priority, deliver, trace, sent_at, order))
+                   priority, deliver, trace, sent_at, order),
+                  partial(self._delivery_stage, src, dst, stage))
 
-    def _delivery_stage(self, src, dst, stage):
+    def _delivery_stage(self, src, dst, stage, item):
         """The last stage of every (src, dst) path, strictly FIFO.
 
         Waits for the arrival time, parks on the heal event while a
@@ -180,9 +184,9 @@ class Fabric:
         ``wire`` segment and delivers.
         """
         env = self.env
-        while True:
+        while item is not None:
             (arrival_at, wire_bytes, priority, deliver, trace, sent_at,
-             order) = yield stage.get()
+             order) = item
             wait = arrival_at - env.now
             if wait > 0:
                 yield env.timeout(wait)
@@ -194,6 +198,8 @@ class Fabric:
             if trace is not None:
                 trace.add("wire", sent_at, env.now)
             deliver()
+            item = yield from stage.next()
+        del self._stages[id(src), id(dst)]
 
     def path_latency(self, wire_bytes: float, rate_bytes: float) -> float:
         """Closed-form uncontended one-way latency (for sanity checks)."""

@@ -16,9 +16,10 @@ message:
 
 1. gets a route from the :class:`~repro.netstack.pathsel.PathSelector`
    (ECMP on the flow key, re-hashed at flowlet boundaries);
-2. traverses the hop sequence through per-link FIFO queues, paying each
-   link's store-and-forward latency and serialisation (one worker per
-   link, so messages pipeline across hops);
+2. traverses the hop sequence through per-link FIFO stages, paying
+   each link's store-and-forward latency and serialisation (one
+   :class:`~repro.sim.stage.Stage` per link, whose worker runs while the
+   link has traffic, so messages pipeline across hops);
 3. lands in the base fabric's per-(src, dst) delivery stage, the same
    one a single switch feeds straight after egress: it honours
    partitions (parked, not dropped), pays the destination NIC's
@@ -35,9 +36,10 @@ delivery-side :class:`FlowletTracer` can assert the fabric invariant:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional
 
-from ..sim.resources import Store
+from ..sim.stage import Stage
 from ..telemetry.registry import counter_inc
 from .bandwidth import BandwidthPipe
 from .link import Fabric
@@ -83,7 +85,7 @@ class FabricLink:
     :meth:`FatTreeTopology.fail_cable` takes both down together.
     """
 
-    __slots__ = ("name", "src", "dst", "tier", "pipe", "up", "queue",
+    __slots__ = ("name", "src", "dst", "tier", "pipe", "up", "stage",
                  "assignments", "fails", "heals")
 
     def __init__(self, env: "Environment", src: SwitchNode, dst: SwitchNode,
@@ -95,9 +97,9 @@ class FabricLink:
         self.pipe = BandwidthPipe(env, rate_bytes=rate_bytes,
                                   chunk_bytes=chunk_bytes, name=self.name)
         self.up = True
-        #: FIFO of :class:`_Transit` waiting for this link (set by the
-        #: owning fabric when it starts the link's worker).
-        self.queue = None
+        #: FIFO of :class:`_Transit` crossing this link; the owning
+        #: fabric supplies its worker.
+        self.stage = Stage(env)
         #: Flowlet path assignments that chose this link (collision
         #: accounting, bumped by the path selector).
         self.assignments = 0
@@ -384,9 +386,6 @@ class FatTreeFabric(Fabric):
         self._ports: dict[int, int] = {}
         super().__init__(env, switch_latency_s=switch_latency_s,
                          propagation_s=propagation_s)
-        for link in self.topology.links():
-            link.queue = Store(env)
-            env.process(self._link_worker(link))
 
     # -- attachment ----------------------------------------------------------
 
@@ -459,29 +458,29 @@ class FatTreeFabric(Fabric):
                 self.selector.detour(transit, transit.hop)
                 continue
             transit.ready_at = self.env.now + self.one_way_latency_s
-            link.queue.put(transit)
+            link.stage.put(transit, partial(self._link_worker, link))
             return
         self._arrive(transit.src, transit.dst, transit.wire_bytes,
                      transit.priority, transit.deliver, transit.trace,
                      transit.sent_at, (transit.flowlet_key, transit.seq))
 
-    def _link_worker(self, link: FabricLink):
+    def _link_worker(self, link: FabricLink, transit: _Transit):
         """FIFO server for one directed link (store-and-forward)."""
-        while True:
-            transit = yield link.queue.get()
+        while transit is not None:
             if not link.up:
                 # Drained-and-missed race guard: re-route instead of
                 # transmitting over a dead link.
                 self.selector.detour(transit, transit.hop)
                 self._forward(transit)
-                continue
-            wait = transit.ready_at - self.env.now
-            if wait > 0:
-                yield self.env.timeout(wait)
-            yield from link.pipe.transfer(transit.wire_bytes,
-                                          priority=transit.priority)
-            transit.hop += 1
-            self._forward(transit)
+            else:
+                wait = transit.ready_at - self.env.now
+                if wait > 0:
+                    yield self.env.timeout(wait)
+                yield from link.pipe.transfer(transit.wire_bytes,
+                                              priority=transit.priority)
+                transit.hop += 1
+                self._forward(transit)
+            transit = yield from link.stage.next()
 
     # -- failures ------------------------------------------------------------
 
@@ -497,7 +496,7 @@ class FatTreeFabric(Fabric):
         pair = self.topology.fail_cable(a_name, b_name)
         counter_inc("repro.fabric.link_fails")
         for link in pair:
-            for transit in link.queue.drain():
+            for transit in link.stage.drain():
                 self.selector.detour(transit, transit.hop)
                 self._forward(transit)
 

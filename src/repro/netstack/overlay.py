@@ -1,10 +1,12 @@
 """User-space overlay routers (the Weave-style data plane).
 
-One router process runs per host.  All overlay traffic on the host
-funnels through it — kernel → user copy, VXLAN-ish encap, user → kernel
-copy — so the router is a serialization point *and* a CPU burner, which
-is precisely the double hairpin the paper's Fig. 1 blames for overlay
-mode's poor showing.
+One router runs per host.  All overlay traffic on the host funnels
+through it — kernel → user copy, VXLAN-ish encap, user → kernel copy —
+so the router is a serialization point *and* a CPU burner, which is
+precisely the double hairpin the paper's Fig. 1 blames for overlay
+mode's poor showing.  The router loop and each per-peer tunnel are
+:class:`~repro.sim.stage.Stage` workers: they run only while they have
+traffic, and a tunnel's stage exists only while it does.
 
 The router is functional: it looks the destination IP up in its route
 table (fed by the :class:`~repro.netstack.routing.RoutingMesh`), delivers
@@ -16,10 +18,11 @@ control plane.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 from ..errors import RoutingError
-from ..sim.resources import Store
+from ..sim.stage import Stage
 from ..telemetry import tracer as _tracer
 from ..transports.packet import EndpointAddr, Message, segment_count
 from .routing import RouteTable
@@ -43,13 +46,13 @@ class OverlayRouter:
         self._endpoints: dict[EndpointAddr, Callable[[Message], None]] = {}
         #: Peer routers by host name (the tunnel mesh).
         self._peers: dict[str, "OverlayRouter"] = {}
-        self._queue: Store = Store(host.env)
-        #: Per-peer tunnel queues: encapsulated traffic toward one peer
-        #: router leaves in order (no small-overtakes-large reordering).
-        self._tunnel_queues: dict[str, Store] = {}
+        self._stage = Stage(host.env)
+        #: Busy per-peer tunnel stages: encapsulated traffic toward one
+        #: peer router leaves in order (no small-overtakes-large
+        #: reordering).  A tunnel leaves the map when it goes idle.
+        self._tunnels: dict[str, Stage] = {}
         self.messages_routed = 0
         self.bytes_routed = 0
-        host.env.process(self._worker())
 
     # -- wiring ---------------------------------------------------------------
 
@@ -78,7 +81,7 @@ class OverlayRouter:
 
     def submit(self, message: Message) -> None:
         """Hand a message to the router (non-blocking; router queues)."""
-        self._queue.put(message)
+        self._stage.put(message, self._worker)
 
     def service_cycles(self, payload: int) -> float:
         segments = segment_count(payload, self.kernel.segment_bytes)
@@ -92,10 +95,9 @@ class OverlayRouter:
         packets = max(1, -(-payload // self.kernel.mtu_bytes))
         return self.kernel.wire_bytes(payload) + packets * self.spec.encap_bytes
 
-    def _worker(self):
+    def _worker(self, message: Message):
         """The single-threaded router loop (the Weave process)."""
-        while True:
-            message = yield self._queue.get()
+        while message is not None:
             if message.dst is None:
                 raise RoutingError(
                     "overlay router got a message with no destination "
@@ -110,6 +112,7 @@ class OverlayRouter:
             self.messages_routed += 1
             self.bytes_routed += message.size_bytes
             self._forward(message)
+            message = yield from self._stage.next()
 
     def _forward(self, message: Message) -> None:
         """Route one serviced message (local delivery or tunnel)."""
@@ -127,14 +130,13 @@ class OverlayRouter:
         if peer is None:
             message.meta["dropped"] = f"no tunnel from {self.host.name} to {owner}"
             return
-        queue = self._tunnel_queues.get(owner)
-        if queue is None:
-            queue = Store(self.env)
-            self._tunnel_queues[owner] = queue
-            self.env.process(self._tunnel_worker(peer, queue))
-        queue.put(message)
+        stage = self._tunnels.get(owner)
+        if stage is None:
+            stage = self._tunnels[owner] = Stage(self.env)
+        stage.put(message, partial(self._tunnel_worker, peer, stage))
 
-    def _tunnel_worker(self, peer: "OverlayRouter", queue: Store):
+    def _tunnel_worker(self, peer: "OverlayRouter", stage: Stage,
+                       message: Message):
         """Serialises encapsulated traffic toward one peer router."""
         fabric = self.host.fabric
         if fabric is None:
@@ -142,8 +144,7 @@ class OverlayRouter:
                 "overlay tunnel requires the host on a fabric (invariant: "
                 "inter-host tunnels only exist between fabric-attached hosts)"
             )
-        while True:
-            message = yield queue.get()
+        while message is not None:
             yield self.env.timeout(self.spec.traversal_latency_s)
             yield from fabric.send(
                 self.host.nic,
@@ -153,6 +154,8 @@ class OverlayRouter:
                 trace=(message.meta.get("trace")
                        if _tracer.ACTIVE is not None else None),
             )
+            message = yield from stage.next()
+        del self._tunnels[peer.host.name]
 
     def _deliver_after(
         self, delay: float, deliver: Callable[[Message], None], message: Message

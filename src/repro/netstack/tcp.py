@@ -11,6 +11,10 @@ router contention instead of being asserted:
     rx stage: receiver softirq+copy (CPU, worker)
     inbox                                        <- recv() blocks here
 
+The wire and receive stages are :class:`~repro.sim.stage.Stage` workers,
+and they and the window are built on a lane's first message, so an idle
+connection owns no process.
+
 Each direction is a transport :class:`~repro.transports.base.Lane`
 (:class:`KernelLane`) and a :class:`TcpConnection` is a
 :class:`~repro.transports.base.DuplexChannel`.  The baselines and
@@ -34,8 +38,8 @@ import enum
 from typing import TYPE_CHECKING, Any, Optional
 
 from ..errors import TransportError
-from ..sim.resources import Store, Tank
-from ..transports.base import ChannelEnd, DuplexChannel, Lane, Mechanism
+from ..sim.stage import Stage
+from ..transports.base import ChannelEnd, DuplexChannel, Mechanism, WindowedLane
 from ..transports.packet import EndpointAddr, Message, segment_count
 from .bridge import SoftwareBridge
 from .overlay import OverlayRouter
@@ -63,12 +67,12 @@ class TcpMode(enum.Enum):
     OVERLAY = "overlay"
 
 
-class KernelLane(Lane):
+class KernelLane(WindowedLane):
     """One direction of a kernel TCP connection: its own pipeline."""
 
     __slots__ = ("src_host", "dst_host", "src_addr", "dst_addr",
                  "src_router", "dst_router", "src_bridge", "dst_bridge",
-                 "kernel", "window", "rx_queue", "tx_queue")
+                 "kernel", "_wire", "_rx")
 
     def __init__(
         self,
@@ -82,7 +86,7 @@ class KernelLane(Lane):
         src_bridge: Optional[SoftwareBridge],
         dst_bridge: Optional[SoftwareBridge],
     ) -> None:
-        super().__init__(src_host.env, Mechanism.TCP)
+        super().__init__(src_host.env, Mechanism.TCP, window_bytes)
         self.src_host = src_host
         self.dst_host = dst_host
         self.src_addr = src_addr
@@ -92,14 +96,9 @@ class KernelLane(Lane):
         self.src_bridge = src_bridge
         self.dst_bridge = dst_bridge
         self.kernel = src_host.spec.kernel
-        self.window = Tank(self.env, capacity=window_bytes)
-        self.rx_queue: Store = Store(self.env)
-        self.env.process(self._rx_worker())
-        if self._needs_tx_worker():
-            self.tx_queue: Optional[Store] = Store(self.env)
-            self.env.process(self._tx_worker())
-        else:
-            self.tx_queue = None
+        #: The wire and receive stages, built on their first message.
+        self._wire: Optional[Stage] = None
+        self._rx: Optional[Stage] = None
         if self.dst_router is not None:
             self.dst_router.register(dst_addr, self._rx_enqueue)
 
@@ -155,21 +154,14 @@ class KernelLane(Lane):
         elif self.src_host is self.dst_host:
             self._rx_enqueue(message)
         else:
-            if self.tx_queue is None:
-                raise TransportError(
-                    "inter-host TCP lane has no tx queue (invariant: "
-                    "lanes where _needs_tx_worker() holds own a wire stage)"
-                )
-            self.tx_queue.put(message)
+            if self._wire is None:
+                self._wire = Stage(self.env)
+            self._wire.put(message, self._tx_worker)
 
-    def _needs_tx_worker(self) -> bool:
-        return self.src_router is None and self.src_host is not self.dst_host
-
-    def _tx_worker(self):
+    def _tx_worker(self, message: Message):
         """Wire stage: serialises onto the sender's NIC (device layer)."""
         fabric = self.src_host.fabric
-        while True:
-            message = yield self.tx_queue.get()
+        while message is not None:
             if fabric is None:
                 raise TransportError(
                     f"hosts {self.src_host.name}/{self.dst_host.name} share no fabric"
@@ -182,29 +174,34 @@ class KernelLane(Lane):
                 deliver=lambda m=message: self._rx_enqueue(m),
                 trace=self._trace_of(message),
             )
+            message = yield from self._wire.next()
 
     def _rx_enqueue(self, message: Message) -> None:
-        """Feed the rx queue, honouring the :data:`FAULTS` hook (also the
-        entry point the destination overlay router delivers into)."""
+        """Feed the receive stage, honouring the :data:`FAULTS` hook (also
+        the entry point the destination overlay router delivers into)."""
         faults = FAULTS
         if faults is not None:
             delay = faults.rx_delay(self, message)
             if delay > 0:
                 self.env.process(self._delayed_rx(message, delay))
                 return
-        self.rx_queue.put(message)
+        self._rx_put(message)
 
     def _delayed_rx(self, message: Message, delay: float):
         """Hold a "lost" frame for its retransmit delay, then deliver."""
         yield self.env.timeout(delay)
-        self.rx_queue.put(message)
+        self._rx_put(message)
+
+    def _rx_put(self, message: Message) -> None:
+        if self._rx is None:
+            self._rx = Stage(self.env)
+        self._rx.put(message, self._rx_worker)
 
     # -- receive path ----------------------------------------------------------------
 
-    def _rx_worker(self):
+    def _rx_worker(self, message: Message):
         """Receiver softirq + copy-to-user stage (serial per connection)."""
-        while True:
-            message = yield self.rx_queue.get()
+        while message is not None:
             trace = self._trace_of(message)
             mark = self.env.now
             cycles = self._recv_cycles(message.size_bytes)
@@ -214,6 +211,7 @@ class KernelLane(Lane):
             if trace is not None:
                 trace.add("kernel", mark, self.env.now)
             self.deliver(message)
+            message = yield from self._rx.next()
 
     def _recv_cycles(self, nbytes: int) -> float:
         segments = segment_count(nbytes, self.kernel.segment_bytes)

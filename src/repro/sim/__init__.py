@@ -22,6 +22,7 @@ from .resources import (
     TankPut,
 )
 from .scheduler import EmptySchedule, Environment
+from .stage import Stage
 
 __all__ = [
     "AllOf",
@@ -39,6 +40,7 @@ __all__ = [
     "Release",
     "Request",
     "Resource",
+    "Stage",
     "Store",
     "StoreGet",
     "StorePut",

@@ -62,6 +62,9 @@ class Process(Event):
     #: registering a callback on every yield would otherwise allocate a
     #: fresh bound-method object per event — pure churn on the hot path
     #: (and caching it makes interrupt's identity-based detach exact).
+    #: It points back at the process, so it is cleared when the generator
+    #: returns or raises: a process that returned is freed by reference
+    #: counting, not left in a cycle for the collector.
     __slots__ = ("_generator", "_target", "_resume")
 
     def __init__(self, env: "Environment", generator: ProcessGen) -> None:
@@ -139,12 +142,14 @@ class Process(Event):
                 result = self._generator.throw(event._value)
         except StopIteration as stop:
             env._active_process = None
+            self._resume = None
             self._ok = True
             self._value = stop.value
             env.schedule(self)
             return
         except BaseException as exc:
             env._active_process = None
+            self._resume = None
             self._ok = False
             self._value = exc
             env.schedule(self)

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import enum
 from itertools import count
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from ..sim.monitor import StreamingSeries
-from ..sim.resources import Store
+from ..sim.resources import Store, Tank
 from ..telemetry import flowrecords as _flowrecords
 from ..telemetry import registry as _registry
 from ..telemetry import tracer as _tracer
@@ -31,8 +31,8 @@ from .packet import EndpointAddr, Message
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.scheduler import Environment
 
-__all__ = ["Mechanism", "LaneStats", "Lane", "ForwardingLane", "ChannelEnd",
-           "DuplexChannel"]
+__all__ = ["Mechanism", "LaneStats", "Lane", "WindowedLane", "ForwardingLane",
+           "ChannelEnd", "DuplexChannel"]
 
 #: Monotone lane ids: the default flow label is "<mechanism>/<id>".
 _lane_ids = count(1)
@@ -208,24 +208,6 @@ class Lane:
         """Push one message into the lane (generator). Must be overridden."""
         raise NotImplementedError
 
-    def _hand_off(self, queue: Optional[Store], worker: Callable,
-                  message: Message) -> Store:
-        """Queue ``message`` for ``worker`` and return the queue to keep.
-
-        ``worker`` takes its first message as an argument, then drains
-        the queue.  With no queue yet, it starts on ``message``: an idle
-        lane owns no process and schedules no event.  The start event
-        takes the ready-queue slot a parked worker's wake-up would have
-        taken, so event order is unchanged.  A worker that took its first
-        message with a ``get`` would run one hop later and reorder
-        same-instant events.
-        """
-        if queue is None:
-            self.env.process(worker(message))
-            return Store(self.env)
-        queue.put(message)
-        return queue
-
     def deliver(self, message: Message) -> None:
         """Final step: timestamp, account and enqueue at the receiver."""
         message.delivered_at = self.env.now
@@ -277,6 +259,28 @@ class Lane:
 
     def close(self) -> None:
         self.closed = True
+
+
+class WindowedLane(Lane):
+    """A lane with a flow-control window: bytes sent but not yet
+    consumed (RDMA, DPDK and kernel TCP).  The window is built on first
+    use, as most lanes of a fleet never send."""
+
+    __slots__ = ("_window", "_window_bytes")
+
+    def __init__(self, env: "Environment", mechanism: Mechanism,
+                 window_bytes: int) -> None:
+        super().__init__(env, mechanism)
+        self._window: Optional[Tank] = None
+        self._window_bytes = window_bytes
+
+    @property
+    def window(self) -> Tank:
+        window = self._window
+        if window is None:
+            window = self._window = Tank(self.env,
+                                         capacity=self._window_bytes)
+        return window
 
 
 class ForwardingLane:

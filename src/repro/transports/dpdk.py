@@ -14,7 +14,10 @@ the kernel's per-packet costs vanish:
 One :class:`DpdkEngine` exists per host and is shared by every DPDK lane
 on it; its single PMD worker is the serialisation point.  The host's NIC
 holds its engine (``nic.pmd``), so the engine lives exactly as long as
-the host: a dropped simulation is freed whole.
+the host: a dropped simulation is freed whole.  The core stays claimed
+for the engine's life, but the PMD's process, like each lane's wire
+stage, is a :class:`~repro.sim.stage.Stage` worker that runs only while
+it has packets; a lane's window is built on its first send.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from typing import TYPE_CHECKING, Any, Optional
 
 from ..errors import TransportUnavailable
 from ..hardware.specs import DpdkSpec
-from ..sim.resources import Store, Tank
-from .base import DuplexChannel, Lane, Mechanism
+from ..sim.stage import Stage
+from .base import DuplexChannel, Mechanism, WindowedLane
 from .packet import segment_count
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -43,10 +46,9 @@ class DpdkEngine:
         self.env = host.env
         self.host = host
         self.spec = spec or host.spec.dpdk
-        self._work: Store = Store(host.env)
+        self._work = Stage(host.env)
         self._core = host.cpu.dedicate()
         self.packets_polled = 0
-        host.env.process(self._pmd_loop())
 
     @classmethod
     def on_host(cls, host: "Host") -> "DpdkEngine":
@@ -64,11 +66,11 @@ class DpdkEngine:
 
     def submit(self, message: "Message", next_step) -> None:
         """Queue one message for PMD processing; ``next_step()`` runs after."""
-        self._work.put((message, next_step))
+        self._work.put((message, next_step), self._pmd_loop)
 
-    def _pmd_loop(self):
-        while True:
-            message, next_step = yield self._work.get()
+    def _pmd_loop(self, work):
+        while work is not None:
+            message, next_step = work
             # The PMD core is already dedicated (permanently busy), so the
             # service time is pure delay — no extra core acquisition.
             yield self.env.timeout(self.spec.poll_latency_s)
@@ -77,6 +79,7 @@ class DpdkEngine:
                 message.size_bytes, self.host.spec.kernel.mtu_bytes
             )
             next_step()
+            work = yield from self._work.next()
 
     def shutdown(self) -> None:
         """Release the dedicated core (end of experiment)."""
@@ -85,10 +88,10 @@ class DpdkEngine:
             self.host.nic.pmd = None
 
 
-class DpdkLane(Lane):
+class DpdkLane(WindowedLane):
     """One direction of a DPDK channel between two hosts (or loopback)."""
 
-    __slots__ = ("src_host", "dst_host", "src_engine", "dst_engine", "window", "_wire_queue")
+    __slots__ = ("src_host", "dst_host", "src_engine", "dst_engine", "_wire")
 
     def __init__(
         self,
@@ -96,15 +99,13 @@ class DpdkLane(Lane):
         dst_host: "Host",
         window_bytes: int = 8 * 1024 * 1024,
     ) -> None:
-        super().__init__(src_host.env, Mechanism.DPDK)
+        super().__init__(src_host.env, Mechanism.DPDK, window_bytes)
         self.src_host = src_host
         self.dst_host = dst_host
         self.src_engine = DpdkEngine.on_host(src_host)
         self.dst_engine = DpdkEngine.on_host(dst_host)
-        self.window = Tank(src_host.env, capacity=window_bytes)
-        self._wire_queue: Store = Store(src_host.env)
-        if not self.loopback:
-            src_host.env.process(self._wire_worker())
+        #: The wire stage, built on its first message.
+        self._wire: Optional[Stage] = None
 
     @property
     def loopback(self) -> bool:
@@ -144,12 +145,13 @@ class DpdkLane(Lane):
                 message.meta["nic_start"] = self.env.now
             self.dst_engine.submit(message, lambda m=message: self._rx_landed(m))
             return
-        self._wire_queue.put(message)
+        if self._wire is None:
+            self._wire = Stage(self.env)
+        self._wire.put(message, self._wire_worker)
 
-    def _wire_worker(self):
+    def _wire_worker(self, message: "Message"):
         """Serialises this lane's messages onto the wire, in order."""
-        while True:
-            message = yield self._wire_queue.get()
+        while message is not None:
             fabric = self.src_host.fabric
             if fabric is None:
                 raise TransportUnavailable(
@@ -163,6 +165,7 @@ class DpdkLane(Lane):
                 deliver=lambda m=message: self._off_wire(m),
                 trace=self._trace_of(message),
             )
+            message = yield from self._wire.next()
 
     def _off_wire(self, message: "Message") -> None:
         """The wire delivered into the destination PMD's RX ring."""

@@ -23,8 +23,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Optional
 
 from ..errors import TransportUnavailable
-from ..sim.resources import Store, Tank
-from .base import DuplexChannel, Lane, Mechanism
+from ..sim.stage import Stage
+from .base import DuplexChannel, Mechanism, WindowedLane
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..hardware.host import Host
@@ -33,11 +33,10 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["RdmaLane", "RdmaChannel"]
 
 
-class RdmaLane(Lane):
+class RdmaLane(WindowedLane):
     """One direction of a reliable RDMA connection (one queue pair)."""
 
-    __slots__ = ("src_host", "dst_host", "_window", "_window_bytes", "_sq",
-                 "_rx")
+    __slots__ = ("src_host", "dst_host", "_sq", "_rx")
 
     def __init__(
         self,
@@ -45,33 +44,20 @@ class RdmaLane(Lane):
         dst_host: "Host",
         window_bytes: int = 8 * 1024 * 1024,
     ) -> None:
-        super().__init__(src_host.env, Mechanism.RDMA)
+        super().__init__(src_host.env, Mechanism.RDMA, window_bytes)
         if not src_host.nic.rdma_capable:
             raise TransportUnavailable(f"{src_host.name} has no RDMA NIC")
         if not dst_host.nic.rdma_capable:
             raise TransportUnavailable(f"{dst_host.name} has no RDMA NIC")
         self.src_host = src_host
         self.dst_host = dst_host
-        self._window: Optional[Tank] = None
-        self._window_bytes = window_bytes
-        #: The NIC workers' queues, created with their workers by the
-        #: first message (see :meth:`Lane._hand_off`).
-        self._sq: Optional[Store] = None
-        self._rx: Optional[Store] = None
+        #: The NIC's tx and rx stages, built on their first message.
+        self._sq: Optional[Stage] = None
+        self._rx: Optional[Stage] = None
 
     @property
     def loopback(self) -> bool:
         return self.src_host is self.dst_host
-
-    @property
-    def window(self) -> Tank:
-        """The flow-control window: bytes posted but not yet consumed.
-        Built on first use, as most queue pairs of a fleet never send."""
-        window = self._window
-        if window is None:
-            window = self._window = Tank(self.env,
-                                         capacity=self._window_bytes)
-        return window
 
     # -- host-side API ------------------------------------------------------------
 
@@ -89,7 +75,9 @@ class RdmaLane(Lane):
         yield self.window.put(max(1, nbytes))
         if trace is not None:
             trace.add("queue", mark, self.env.now)
-        self._sq = self._hand_off(self._sq, self._nic_tx_worker, message)
+        if self._sq is None:
+            self._sq = Stage(self.env)
+        self._sq.put(message, self._nic_tx_worker)
         return message
 
     def recv(self):
@@ -111,7 +99,7 @@ class RdmaLane(Lane):
     def _nic_tx_worker(self, message: "Message"):
         """The source NIC servicing this queue pair, in order."""
         nic = self.src_host.nic
-        while True:
+        while message is not None:
             trace = self._trace_of(message)
             mark = self.env.now
             yield from nic.engine_service(message.size_bytes)
@@ -119,7 +107,7 @@ class RdmaLane(Lane):
             if trace is not None:
                 trace.add("nic", mark, self.env.now)
             yield from self._dma_and_wire(message)
-            message = yield self._sq.get()
+            message = yield from self._sq.next()
 
     def _dma_and_wire(self, message: "Message"):
         """Overlap host-memory DMA with wire serialisation (cut-through)."""
@@ -161,12 +149,14 @@ class RdmaLane(Lane):
         )
 
     def _remote_rx(self, message: "Message") -> None:
-        self._rx = self._hand_off(self._rx, self._nic_rx_worker, message)
+        if self._rx is None:
+            self._rx = Stage(self.env)
+        self._rx.put(message, self._nic_rx_worker)
 
     def _nic_rx_worker(self, message: "Message"):
         """The destination NIC landing inbound messages into memory."""
         nic = self.dst_host.nic
-        while True:
+        while message is not None:
             trace = self._trace_of(message)
             mark = self.env.now
             yield from nic.engine_service(message.size_bytes)
@@ -175,7 +165,7 @@ class RdmaLane(Lane):
             if trace is not None:
                 trace.add("nic", mark, self.env.now)
             self.deliver(message)
-            message = yield self._rx.get()
+            message = yield from self._rx.next()
 
 
 class RdmaChannel(DuplexChannel):

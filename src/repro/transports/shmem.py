@@ -23,7 +23,8 @@ from typing import TYPE_CHECKING, Any, Optional
 
 from ..errors import TransportError
 from ..hardware.specs import ShmSpec
-from ..sim.resources import Store, Tank
+from ..sim.resources import Tank
+from ..sim.stage import Stage
 from .base import DuplexChannel, Lane, Mechanism
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -37,10 +38,11 @@ class ShmLane(Lane):
 
     The ring's memory is accounted to the host from construction; its
     occupancy tank (:attr:`ring`) is built on first use, as most flows
-    of a fleet never send.
+    of a fleet never send, and so is the receive-side copy stage of a
+    lane without zero-copy receive.
     """
 
-    __slots__ = ("host", "spec", "_ring", "_rx_queue")
+    __slots__ = ("host", "spec", "_ring", "_rx")
 
     def __init__(self, host: "Host", spec: Optional[ShmSpec] = None) -> None:
         super().__init__(host.env, Mechanism.SHM)
@@ -48,11 +50,7 @@ class ShmLane(Lane):
         self.spec = spec or host.spec.shm
         self._ring: Optional[Tank] = None
         host.memory.allocate(self.spec.ring_bytes)
-        if self.spec.zero_copy_receive:
-            self._rx_queue: Optional[Store] = None
-        else:
-            self._rx_queue = Store(host.env)
-            host.env.process(self._rx_copy_worker())
+        self._rx: Optional[Stage] = None
 
     @property
     def ring(self) -> Tank:
@@ -97,28 +95,24 @@ class ShmLane(Lane):
             # The futex-style receiver wakeup is the shm path's only
             # kernel involvement.
             trace.add("kernel", mark, self.env.now)
-        if self._rx_queue is None:
+        if self.spec.zero_copy_receive:
             self.deliver(message)
-        else:
-            self._rx_queue.put(message)
+            return message
+        if self._rx is None:
+            self._rx = Stage(self.env)
+        self._rx.put(message, self._rx_copy_worker)
         return message
 
-    def _rx_copy_worker(self):
+    def _rx_copy_worker(self, message):
         """Receive-side memcpy stage (only when zero-copy is disabled)."""
-        if self._rx_queue is None:
-            raise TransportError(
-                "shm rx copy worker started without an rx queue "
-                "(invariant: zero-copy lanes deliver directly and never "
-                "start this worker)"
-            )
-        while True:
-            message = yield self._rx_queue.get()
+        while message is not None:
             trace = self._trace_of(message)
             mark = self.env.now
             yield from self.host.memcpy(message.size_bytes)
             if trace is not None:
                 trace.add("copy", mark, self.env.now)
             self.deliver(message)
+            message = yield from self._rx.next()
 
     def recv(self):
         """Consume the next message and free its ring space."""

@@ -315,9 +315,12 @@ class TestVmAwareChannels:
 
 
 class TestAutoInvalidation:
+    """The reconciler's container watch drops the cached decisions of a
+    container whose published location changed."""
+
     def test_watch_invalidates_on_republish(self, env, cluster, network,
                                             three_containers, runner):
-        network.enable_auto_invalidation()
+        network.reconciler.start()
 
         def go():
             yield from network.resolve("web", "cache")
@@ -325,7 +328,7 @@ class TestAutoInvalidation:
             # Simulate a move published by some other actor.
             cluster.relocate("cache", "h2")
             network.orchestrator.refresh_location("cache")
-            yield env.timeout(0)  # let the watcher pump run
+            yield from network.reconciler.wait_settled()
             decision = yield from network.resolve("web", "cache")
             return decision
 
@@ -334,7 +337,7 @@ class TestAutoInvalidation:
         assert decision.mechanism.value == "rdma"
 
     def test_enable_twice_is_idempotent(self, network):
-        network.enable_auto_invalidation()
-        watcher = network._watcher
-        network.enable_auto_invalidation()
-        assert network._watcher is watcher
+        reconciler = network.reconciler.start()
+        watches, procs = list(reconciler._watches), list(reconciler._procs)
+        assert network.reconciler.start() is reconciler
+        assert (reconciler._watches, reconciler._procs) == (watches, procs)

@@ -1,8 +1,10 @@
 """Unit tests for simulation processes."""
 
+import gc
+
 import pytest
 
-from repro.sim import Environment, Interrupt
+from repro.sim import Interrupt, Process
 
 
 def test_process_returns_generator_value(env, runner):
@@ -177,3 +179,31 @@ def test_process_return_none_by_default(env, runner):
         yield env.timeout(1)
 
     assert runner(work()) is None
+
+
+def test_a_finished_process_is_freed_without_the_collector(env):
+    """A process keeps its resume callback, which points back at it,
+    only while it runs: once its generator returns, dropping the last
+    reference frees it by reference counting alone."""
+
+    def live_processes():
+        return sum(1 for obj in gc.get_objects() if isinstance(obj, Process))
+
+    def work():
+        yield env.timeout(1)
+
+    def waiter(process):
+        yield process
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = live_processes()
+        process = env.process(work())
+        env.process(waiter(process))
+        assert live_processes() == before + 2
+        del process
+        env.run()
+        assert live_processes() == before
+    finally:
+        gc.enable()
