@@ -21,7 +21,10 @@ call on every blocking operation, and the engine's observer tuple
   every process and resource in the cycle.  Only pure-lock cycles
   raise: a slot can never be released by anyone outside the ring.
   Tank/store waits are backpressure — a third party can always put or
-  get — so they never raise, but they do appear in the reports.
+  get — so they never raise, but they do appear in the reports.  A
+  slot's owner is remembered only while its request is granted or
+  queued: the hook's release report forgets it, so a finished process
+  is not kept alive by the graph.
 * **Ownership ledgers** — each :class:`Tank` carries a signed FIFO
   ledger of outstanding amounts: net successful ``put`` entries mean
   those processes hold ring/window occupancy, net successful ``get``
@@ -72,9 +75,6 @@ __all__ = [
     "idle_report",
 ]
 
-#: Sweep threshold for the request→owner map (see _sweep_request_owners).
-_OWNER_SWEEP_AT = 4096
-
 
 class _Graph:
     """One simulation's wait-for graph, stored on its Environment."""
@@ -87,7 +87,7 @@ class _Graph:
         self.tool = tool
         #: process -> (event, resource, kind, amount) for its live wait.
         self.waits: dict = {}
-        #: Request -> owning process (granted or queued).
+        #: Request -> owning process, while granted or queued.
         self.request_owner: dict = {}
         #: Tank -> [sign, deque[(process, amount)]].  sign +1: the
         #: entries hold occupancy (net puts); sign -1: they hold credit
@@ -124,11 +124,12 @@ class _State(scheduler.Observer):
         if proc is not None:
             graph = _graph(env)
             graph.request_owner[request] = proc
-            if len(graph.request_owner) > _OWNER_SWEEP_AT:
-                _sweep_request_owners(graph)
             if not request.triggered:
                 _record_wait(graph, proc, request, resource, "lock", None)
                 _lock_cycle_check(graph, proc, resource)
+
+    def release(self, resource, request) -> None:
+        _graph(resource.env).request_owner.pop(request, None)
 
     def store_get(self, store, event) -> None:
         if not event.triggered:
@@ -331,15 +332,6 @@ def _lock_holders(graph, resource) -> list:
         if owner is not None:
             out.append(owner)
     return out
-
-
-def _sweep_request_owners(graph) -> None:
-    graph.request_owner = {
-        request: owner
-        for request, owner in graph.request_owner.items()
-        if request in request.resource.users
-        or request in request.resource.queue
-    }
 
 
 def _lock_cycle_check(graph, proc, resource) -> None:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional
 
@@ -106,8 +107,21 @@ class ProtectionDomain:
 class MemoryRegion:
     """A registered buffer: bounds, keys and (simulated) contents.
 
-    Contents are tracked as ``offset -> payload`` so functional tests can
+    Contents are one entry per write, not bytes, so functional tests can
     verify one-sided WRITE/READ semantics without allocating gigabytes.
+    Every write (a WRITE, a RECV or READ response landing, an atomic set)
+    covers ``[offset, offset + length)`` and replaces each entry whose
+    range it overlaps; a zero-length write covers the byte at its offset,
+    so it replaces the entry that starts there, as does any write that
+    starts at the same offset.  :meth:`read` returns the
+    payload of the entry that starts at ``offset``, and an entry that a
+    later write overlapped, even partly, is gone: it reads None.
+
+    So a region holds only what no later write touched: live entries are
+    disjoint, at most one per byte, and a receive ring that WRITEs at
+    moving offsets holds about one lap of batches however long it runs.
+    Entries sit in parallel lists sorted by start, so a write costs a
+    bisect plus the entries it evicts.
     """
 
     def __init__(self, pd: ProtectionDomain, length: int) -> None:
@@ -117,7 +131,9 @@ class MemoryRegion:
         self.length = length
         self.lkey = next(_mr_keys)
         self.rkey = next(_mr_keys)
-        self.data: dict[int, Any] = {}
+        self._starts: list[int] = []
+        self._ends: list[int] = []
+        self._payloads: list[Any] = []
         self.bytes_written = 0
         self.valid = True
         pd.regions.append(self)
@@ -133,19 +149,39 @@ class MemoryRegion:
 
     def write(self, offset: int, length: int, payload: Any) -> None:
         self.check_range(offset, length)
-        self.data[offset] = payload
+        self._store(offset, length, payload)
         self.bytes_written += length
 
     def read(self, offset: int, length: int) -> Any:
         self.check_range(offset, length)
-        return self.data.get(offset)
+        return self._entry(offset, None)
+
+    def _store(self, offset: int, length: int, payload: Any) -> None:
+        """Replace every entry overlapping the write with its own."""
+        starts = self._starts
+        end = offset + (length or 1)
+        first = bisect_left(starts, offset)
+        if first and self._ends[first - 1] > offset:
+            first -= 1
+        last = bisect_left(starts, end, first)
+        starts[first:last] = (offset,)
+        self._ends[first:last] = (end,)
+        self._payloads[first:last] = (payload,)
+
+    def _entry(self, offset: int, default: Any) -> Any:
+        """Payload of the entry starting at ``offset``, else ``default``."""
+        starts = self._starts
+        i = bisect_left(starts, offset)
+        if i < len(starts) and starts[i] == offset:
+            return self._payloads[i]
+        return default
 
     # -- 64-bit atomic cells (for ATOMIC_CAS / ATOMIC_FADD) ----------------
 
     def atomic_value(self, offset: int) -> int:
         """Current value of the 8-byte atomic cell at ``offset``."""
         self.check_range(offset, 8)
-        value = self.data.get(offset, 0)
+        value = self._entry(offset, 0)
         if not isinstance(value, int):
             raise MemoryRegionError(
                 f"offset {offset} holds non-integer data; atomics need a "
@@ -155,7 +191,7 @@ class MemoryRegion:
 
     def atomic_set(self, offset: int, value: int) -> None:
         self.check_range(offset, 8)
-        self.data[offset] = int(value)
+        self._store(offset, 8, int(value))
         self.bytes_written += 8
 
     def deregister(self) -> None:

@@ -63,8 +63,10 @@ class Process(Event):
     #: fresh bound-method object per event — pure churn on the hot path
     #: (and caching it makes interrupt's identity-based detach exact).
     #: It points back at the process, so it is cleared when the generator
-    #: returns or raises: a process that returned is freed by reference
-    #: counting, not left in a cycle for the collector.
+    #: returns or raises: a process that returned or failed is freed by
+    #: reference counting, not left in a cycle for the collector.  (A
+    #: waiter whose frame keeps a failed process in a local still makes
+    #: one: frame -> process -> exception -> traceback -> frame.)
     __slots__ = ("_generator", "_target", "_resume")
 
     def __init__(self, env: "Environment", generator: ProcessGen) -> None:
@@ -151,7 +153,10 @@ class Process(Event):
             env._active_process = None
             self._resume = None
             self._ok = False
-            self._value = exc
+            # The traceback's first entry is this frame, which holds the
+            # process: drop it, or the stored failure keeps the process
+            # in a cycle.  The generator's own frames stay.
+            self._value = exc.with_traceback(exc.__traceback__.tb_next)
             env.schedule(self)
             return
         env._active_process = None

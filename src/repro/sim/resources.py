@@ -68,7 +68,9 @@ __all__ = [
 #: ``Tank.put`` reports its event once the operation has either been
 #: granted on the spot or parked: ``WAITS.request(resource, request)``,
 #: ``WAITS.store_get(store, event)`` and ``WAITS.tank(tank, event,
-#: amount, sign)`` with ``sign`` -1 for a get and +1 for a put.
+#: amount, sign)`` with ``sign`` -1 for a get and +1 for a put.  A
+#: request that leaves its resource, released or withdrawn, is reported
+#: as ``WAITS.release(resource, request)``.
 WAITS = None
 
 _priority = attrgetter("priority")
@@ -186,6 +188,8 @@ class Resource:
             self._trigger()
         elif request in self.queue:
             self.queue.remove(request)
+        if WAITS is not None:
+            WAITS.release(self, request)
 
     def _trigger(self) -> None:
         while self.queue and len(self.users) < self._capacity:

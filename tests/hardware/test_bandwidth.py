@@ -100,3 +100,27 @@ def test_reset_accounting(env):
     env.run()
     pipe.reset_accounting()
     assert pipe.bytes_moved == 0
+
+
+def test_same_instant_completions_keep_their_last_chunk_order(env):
+    """Two pipes finish transfers at the same instant: the one whose
+    last chunk started first completes first.  The chunked loop arms
+    each chunk's timeout at that chunk's boundary, so A (two 128 B
+    chunks, the last armed at t=0.125) completes after B (one chunk,
+    armed at t=0.0625).  A transfer that armed one timeout for its
+    whole run at its start would complete A first; that is why bulk
+    transfers cannot move in O(1) engine events and keep every
+    same-instant order of the chunked pipe."""
+    pipe_a = BandwidthPipe(env, rate_bytes=1024, chunk_bytes=128)
+    pipe_b = BandwidthPipe(env, rate_bytes=1024, chunk_bytes=1024)
+    done = []
+
+    def move(name, pipe, nbytes, delay):
+        yield env.timeout(delay)
+        yield from pipe.transfer(nbytes)
+        done.append((env.now, name))
+
+    env.process(move("A", pipe_a, 256, 0.0))
+    env.process(move("B", pipe_b, 192, 0.0625))
+    env.run()
+    assert done == [(0.25, "B"), (0.25, "A")]

@@ -5,7 +5,6 @@ from collections import Counter
 
 import pytest
 
-from repro.analysis import waitfor
 from repro.hardware import Fabric, Host, NicSpec, PhysicalNic, PAPER_TESTBED
 from repro.sim import Process, Stage, Store
 
@@ -133,20 +132,7 @@ def test_pipelined_sends_reach_link_rate(env):
     assert rate == pytest.approx(h1.nic.spec.goodput_bytes, rel=0.15)
 
 
-@pytest.fixture
-def without_waitfor():
-    """Disarm the wait-for graph for a footprint count, restoring the
-    suite's arming after: it keeps each process that requested a
-    resource in its request-owner map until a sweep."""
-    armed = waitfor.installed()
-    waitfor.uninstall()
-    yield
-    if armed:
-        waitfor.install()
-
-
-def test_a_pair_that_has_gone_idle_holds_no_process_and_no_store(
-        env, without_waitfor):
+def test_a_pair_that_has_gone_idle_holds_no_process_and_no_store(env):
     """The flat fabric's delivery stage for a (src, dst) pair exists
     only while the pair has a message in it.  Once every pair has gone
     idle, no stage, process or Store of theirs is left, not even in a

@@ -181,13 +181,14 @@ def test_process_return_none_by_default(env, runner):
     assert runner(work()) is None
 
 
+def live_processes():
+    return sum(1 for obj in gc.get_objects() if isinstance(obj, Process))
+
+
 def test_a_finished_process_is_freed_without_the_collector(env):
     """A process keeps its resume callback, which points back at it,
     only while it runs: once its generator returns, dropping the last
     reference frees it by reference counting alone."""
-
-    def live_processes():
-        return sum(1 for obj in gc.get_objects() if isinstance(obj, Process))
 
     def work():
         yield env.timeout(1)
@@ -204,6 +205,53 @@ def test_a_finished_process_is_freed_without_the_collector(env):
         assert live_processes() == before + 2
         del process
         env.run()
+        assert live_processes() == before
+    finally:
+        gc.enable()
+
+
+def fails(env):
+    yield env.timeout(1)
+    raise ValueError("boom")
+
+
+def test_a_failed_process_nobody_awaits_is_freed_without_the_collector(env):
+    """A failed process keeps its exception, whose traceback starts in
+    the generator, not in the engine frame that holds the process: once
+    the last reference goes, it is freed by reference counting."""
+    gc.collect()
+    gc.disable()
+    try:
+        before = live_processes()
+        process = env.process(fails(env))
+        process.defused = True  # nobody waits; the run does not raise
+        del process
+        env.run()
+        assert live_processes() == before
+    finally:
+        gc.enable()
+
+
+def test_a_failed_process_and_the_waiter_that_caught_it_are_freed(env):
+    """A waiter that catches a process's failure and returns leaves
+    neither process behind.  A waiter whose catching frame keeps the
+    failed process in a local still makes a cycle (frame -> process ->
+    exception -> traceback -> frame) that only the collector frees."""
+    caught = []
+
+    def waiter():
+        try:
+            yield env.process(fails(env))
+        except ValueError:
+            caught.append(env.now)
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = live_processes()
+        env.process(waiter())
+        env.run()
+        assert caught == [1]
         assert live_processes() == before
     finally:
         gc.enable()
