@@ -4,9 +4,13 @@
 Builds a lease-backed fleet — default 1024 hosts in 32 racks, 4
 containers per host placed by the rack-aware strategy — opens 100k
 flows through the full control plane (policy query + channel build),
-then kills one rack by silencing its lease keepalives.  Three headline
+then kills one rack by silencing its lease keepalives.  Four headline
 metrics come out:
 
+* **fleet build** — wall-clock µs per container to register the hosts
+  and place and attach every container, and the placement heap entries
+  the orchestrator examined per submit (``placement_checks``, an exact
+  count: a scan of every rack examines at least racks + rack size);
 * **flow-setup rate** — wall-clock flows/sec through
   ``connect_containers`` with the fleet live (watch dispatch, placement
   accounting and lease keepalives all running);
@@ -29,9 +33,10 @@ Results merge into ``BENCH_datacenter.json`` keyed by ``--label``::
 
 ``--smoke`` runs 64 hosts / 2k flows and asserts the flow-setup rate
 stays above ``--floor`` flows/sec (CI's control-plane scaling trip
-wire) and that an open flow holds at most
-``SMOKE_MAX_OBJECTS_PER_FLOW`` GC-tracked objects (exact, so the gate
-cannot flake).  The cyclic GC is disabled for the run: with ~8 live
+wire), that an open flow holds at most ``SMOKE_MAX_OBJECTS_PER_FLOW``
+GC-tracked objects and that a submit examines at most
+``SMOKE_MAX_PLACEMENT_CHECKS_PER_SUBMIT`` placement heap entries (both
+exact, so those gates cannot flake).  The cyclic GC is disabled for the run: with ~8 live
 objects per flow the collector's pauses would otherwise dominate the
 measured rates without ever finding garbage (everything stays
 reachable).
@@ -74,6 +79,15 @@ HOST_LEASE_TTL_S = 1.0
 #: An idle flow holds about 8: the flow, its channel, four lanes and its
 #: pair's decision-cache entry.
 SMOKE_MAX_OBJECTS_PER_FLOW = 10
+
+#: ``--smoke`` fails above this many placement heap entries examined per
+#: submit while the fleet is built.  A submit reads two live heads and
+#: pops the dead entries above them, and it kills at most two entries
+#: (its rack's and its host's), so a fleet built without failures
+#: examines at most 4 per submit; it reads 3.96 at 64 hosts / 8 racks
+#: and 3.99 at 8,192 / 256.  A scan of every rack examines at least
+#: racks + rack size: 16 at the smoke fleet.
+SMOKE_MAX_PLACEMENT_CHECKS_PER_SUBMIT = 4.0
 
 
 # -- fleet construction ------------------------------------------------------
@@ -254,6 +268,7 @@ def run_suite(hosts: int, racks: int, per_host: int, n_flows: int,
         env, cluster, network, names, build_wall = build_fleet(
             hosts, racks, per_host
         )
+        placement_checks = cluster.placement_checks
         fleet_objects = gc_tracked()
         flows, setup = setup_flows(env, network, names, n_flows, seed)
         failure = fail_rack(env, cluster, network, rack="rack0")
@@ -272,6 +287,8 @@ def run_suite(hosts: int, racks: int, per_host: int, n_flows: int,
             "containers": hosts * per_host,
             "host_lease_ttl_s": HOST_LEASE_TTL_S,
             "build_wall_s": build_wall,
+            "build_us_per_container": build_wall / len(names) * 1e6,
+            "placement_checks_per_submit": placement_checks / len(names),
         },
         "flow_setup": setup,
         "rack_failure": failure,
@@ -335,6 +352,9 @@ def main(argv=None) -> int:
     print(f"  fleet            {fleet['hosts']} hosts / {fleet['racks']} "
           f"racks / {fleet['containers']} containers "
           f"(built in {fleet['build_wall_s']:.2f}s)")
+    print(f"  fleet build      {fleet['build_us_per_container']:.1f} µs "
+          f"per container, {fleet['placement_checks_per_submit']:.2f} "
+          f"placement checks/submit")
     print(f"  flow setup       {setup['flows']:,} flows at "
           f"{setup['flows_per_sec']:,.0f} flows/s wall "
           f"({setup['wall_s']:.2f}s)")
@@ -374,13 +394,21 @@ def main(argv=None) -> int:
             f"{memory['gc_tracked_per_flow']:.2f} GC-tracked objects per "
             f"flow, above {SMOKE_MAX_OBJECTS_PER_FLOW}"
         )
+    checks = fleet["placement_checks_per_submit"]
+    if args.smoke and checks > SMOKE_MAX_PLACEMENT_CHECKS_PER_SUBMIT:
+        failed.append(
+            f"{checks:.2f} placement checks per submit, above "
+            f"{SMOKE_MAX_PLACEMENT_CHECKS_PER_SUBMIT}"
+        )
     for message in failed:
         print(f"FAIL: {message}", file=sys.stderr)
     if args.smoke and not failed:
         print(f"  smoke floor ok ({setup['flows_per_sec']:,.0f} >= "
               f"{args.floor:,.0f} flows/s, "
               f"{memory['gc_tracked_per_flow']:.2f} <= "
-              f"{SMOKE_MAX_OBJECTS_PER_FLOW} objects/flow)")
+              f"{SMOKE_MAX_OBJECTS_PER_FLOW} objects/flow, {checks:.2f} <= "
+              f"{SMOKE_MAX_PLACEMENT_CHECKS_PER_SUBMIT} placement "
+              f"checks/submit)")
     return 1 if failed else 0
 
 

@@ -20,7 +20,14 @@ Datacenter-scale shape (DESIGN.md §15): placement state is sharded by
 per-rack load counters are maintained incrementally on every lifecycle
 transition (never recomputed by scanning containers), the up-host
 candidate tuple is cached across submits, and a per-host container
-index makes host teardown O(containers on that host).  With
+index makes host teardown O(containers on that host).  Rack-aware
+placement reads two lazily invalidated min-heaps kept beside those
+counters: racks by ``(rack_load / up hosts, rack)`` and, per rack, the
+up hosts by ``(load, name)``.  Every change to a key pushes a fresh
+entry, so a submit costs O(log racks + log rack size) instead of a
+scan of every rack: an 8,192-host / 256-rack fleet (32,768 containers)
+builds in 2.0 s instead of 8.0 s, 62 instead of 244 µs per container
+(``BENCH_datacenter.json``).  With
 ``host_lease_ttl_s`` set, host liveness is a KV **lease**: one
 keepalive pump refreshes every host's lease, and a host whose
 keepalives stop is detected by lease expiry — its ``/cluster/hosts/``
@@ -30,6 +37,7 @@ the lease's expiry hook, not through explicit ``fail_host`` calls.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..errors import OrchestrationError, PlacementError, UnknownContainer
@@ -49,6 +57,29 @@ __all__ = ["ClusterOrchestrator", "DEFAULT_RACK"]
 
 #: Rack assigned to hosts registered without one (small-testbed mode).
 DEFAULT_RACK = "rack0"
+
+
+def _rekey(heap: list, live: dict, key: str, entry: Optional[tuple]) -> None:
+    """Make ``entry`` the one live entry of ``key`` in ``heap`` (None:
+    ``key`` leaves it).
+
+    An entry is live while it *is* its key's value in ``live``, so a
+    superseded entry goes dead where it sits and is popped once it
+    reaches the head.  Once the dead entries outnumber the live ones,
+    the heap is rebuilt from ``live``: it never holds more than twice
+    its live entries.
+    """
+    if entry is None:
+        if live.pop(key, None) is None:
+            return
+    elif live.get(key) == entry:
+        return  # the key did not move; its entry stays live
+    else:
+        live[key] = entry
+        heappush(heap, entry)
+    if len(heap) > 2 * len(live):
+        heap[:] = live.values()
+        heapify(heap)
 
 
 class ClusterOrchestrator:
@@ -82,6 +113,20 @@ class ClusterOrchestrator:
         self._by_host: dict[str, dict[str, None]] = {}
         #: Cached tuple of up hosts; rebuilt only on membership change.
         self._up_cache: Optional[tuple[Host, ...]] = None
+        # -- placement index (see _rekey), built by the first rack-aware
+        # placement, so a fleet of pinned containers never keeps it ------
+        #: rack -> its live ``(rack_load / up hosts, rack)`` entry, for
+        #: racks with an up host, and the min-heap over those entries
+        #: (None until the index is built).
+        self._rack_entry: dict[str, tuple[float, str]] = {}
+        self._rack_heap: Optional[list[tuple[float, str]]] = None
+        #: rack -> {up host name -> its live ``(load, name)`` entry}, and
+        #: rack -> the min-heap over that rack's host entries.
+        self._host_entry: dict[str, dict[str, tuple[int, str]]] = {}
+        self._host_heap: dict[str, list[tuple[int, str]]] = {}
+        #: Heap entries placement examined, live or dead (a count that
+        #: repeats exactly, like the KV store's ``dispatch_checks``).
+        self.placement_checks = 0
         # -- lease-backed liveness -----------------------------------------
         self.host_lease_ttl_s = host_lease_ttl_s
         self._host_leases: dict[str, Lease] = {}
@@ -98,9 +143,12 @@ class ClusterOrchestrator:
         self._rack_of[host.name] = rack
         self._racks.setdefault(rack, {})[host.name] = host
         self._rack_load.setdefault(rack, 0)
+        self._host_entry.setdefault(rack, {})
+        self._host_heap.setdefault(rack, [])
         self._load[host.name] = 0
         self._by_host[host.name] = {}
         self._up_cache = None
+        self._reindex(host.name, rack)
         record = {
             "cores": host.cpu.cores,
             "rdma": host.rdma_capable,
@@ -167,6 +215,62 @@ class ClusterOrchestrator:
     def rack_load(self, rack: str) -> int:
         return self._rack_load.get(rack, 0)
 
+    def least_loaded_host(self, rack: Optional[str] = None) -> Optional[Host]:
+        """The up host rack-aware placement picks, or None if there is none.
+
+        Without ``rack``: the least-loaded up host of the rack with the
+        lowest ``(rack_load / up hosts, rack)``; with it, of that rack.
+        Hosts rank by ``(load, name)``.  The answer is the one a scan of
+        every rack's hosts gives, read from the heads of two min-heaps.
+        """
+        if self._rack_heap is None:
+            self._build_index()
+        if rack is None:
+            if not self._rack_entry:
+                return None
+            rack = self._live_head(self._rack_heap, self._rack_entry)[1]
+        live = self._host_entry.get(rack)
+        if not live:
+            return None
+        return self._hosts[self._live_head(self._host_heap[rack], live)[1]]
+
+    def _live_head(self, heap: list, live: dict) -> tuple:
+        """The smallest live entry of ``heap``, popping the dead ones
+        above it (``live`` is not empty, so one of its entries is in
+        the heap)."""
+        while True:
+            entry = heap[0]
+            self.placement_checks += 1
+            if live.get(entry[1]) is entry:
+                return entry
+            heappop(heap)
+
+    def _build_index(self) -> None:
+        """Key every up host and every rack that has one."""
+        for rack, up in self._racks.items():
+            live = self._host_entry[rack]
+            live.update((name, (self._load[name], name)) for name in up)
+            self._host_heap[rack][:] = live.values()
+            heapify(self._host_heap[rack])
+            if up:
+                self._rack_entry[rack] = (self._rack_load[rack] / len(up),
+                                          rack)
+        self._rack_heap = list(self._rack_entry.values())
+        heapify(self._rack_heap)
+
+    def _reindex(self, host_name: str, rack: str) -> None:
+        """Re-key ``host_name`` in its rack's host heap (dropping it
+        while it is down) and ``rack`` in the rack heap, after a change
+        to the host's load, the rack's load or the rack's up-set."""
+        if self._rack_heap is None:
+            return  # not built yet: it will read the state as it is then
+        up = self._racks[rack]
+        _rekey(self._host_heap[rack], self._host_entry[rack], host_name,
+               (self._load[host_name], host_name)
+               if host_name in up else None)
+        _rekey(self._rack_heap, self._rack_entry, rack,
+               (self._rack_load[rack] / len(up), rack) if up else None)
+
     def load_of(self, host_name: str) -> int:
         """Containers currently placed on ``host_name`` (not stopped)."""
         return self._load.get(host_name, 0)
@@ -231,6 +335,7 @@ class ClusterOrchestrator:
         rack = self._rack_of.get(host_name)
         if rack is not None:
             self._rack_load[rack] += 1
+            self._reindex(host_name, rack)
         self._by_host.setdefault(host_name, {})[name] = None
 
     def _account_remove(self, name: str, host_name: str) -> None:
@@ -240,6 +345,7 @@ class ClusterOrchestrator:
             rack = self._rack_of.get(host_name)
             if rack is not None and self._rack_load.get(rack, 0) > 0:
                 self._rack_load[rack] -= 1
+                self._reindex(host_name, rack)
         by_host = self._by_host.get(host_name)
         if by_host is not None:
             by_host.pop(name, None)
@@ -304,6 +410,7 @@ class ClusterOrchestrator:
         rack = self._rack_of.get(host_name)
         if rack is not None:
             self._racks.get(rack, {}).pop(host_name, None)
+            self._reindex(host_name, rack)
         host = self._hosts[host_name]
         lost = [
             name for name in self.containers_on(host_name)
@@ -322,6 +429,7 @@ class ClusterOrchestrator:
         self._up_cache = None
         rack = self._rack_of.get(host_name, DEFAULT_RACK)
         self._racks.setdefault(rack, {})[host_name] = host
+        self._reindex(host_name, rack)
         record = {
             "cores": host.cpu.cores,
             "rdma": host.rdma_capable,

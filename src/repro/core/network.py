@@ -284,6 +284,7 @@ class FreeFlowNetwork:
         qp_b.vnic.bind(qp_b, channel.b, qp_a)
         flow.qp_a = qp_a
         flow.qp_b = qp_b
+        qp_a.flow = qp_b.flow = flow
         self.flows.activate(flow, channel, decision)
         _events.emit(self.env, "flow.connect", src=src.name, dst=dst.name,
                      mechanism=decision.mechanism.value, verbs=True)

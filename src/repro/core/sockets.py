@@ -255,6 +255,9 @@ class FreeFlowSocket:
         self.local_addr: Optional[EndpointAddr] = None
         self._qp = None
         self._recv_mr = None
+        #: The socket at the other end, held until both ends shut down
+        #: (see :meth:`_release`).
+        self._peer: Optional["FreeFlowSocket"] = None
         #: (remaining_bytes, payload, from_ring) in stream order.
         self._rx_buffer: deque = deque()
         self.mechanism = None
@@ -344,6 +347,7 @@ class FreeFlowSocket:
         decision = yield from self.layer.network.connect(
             self._qp, server_sock._qp
         )
+        self._peer, server_sock._peer = server_sock, self
         self.mechanism = server_sock.mechanism = decision.mechanism
         if self.streaming:
             self._wire_streaming_peer(server_sock)
@@ -574,6 +578,8 @@ class FreeFlowSocket:
                 self._apply_credit(wc.payload)
             elif imm == FIN_IMM or wc.payload is _FIN:
                 self.peer_closed = True
+                if self._peer is not None and self._peer.peer_closed:
+                    self._release()
             else:
                 # Legacy SEND from a non-streaming peer: plain data.
                 self._rx_buffer.append((wc.byte_len, wc.payload, False))
@@ -606,6 +612,23 @@ class FreeFlowSocket:
                 "credit refill exceeded ring capacity — the peer "
                 "advertised more consumed bytes than were ever sent"
             )
+
+    def _release(self) -> None:
+        """Close the connection's flow and deregister both ends' memory
+        regions, once both ends shut down and each applied the other's
+        FIN.
+
+        No WRITE can target either end any more: RC delivery is in
+        order, FIN is the last WRITE a side posts, and
+        :meth:`_return_credits` stops at ``peer_closed or closed``.
+        """
+        peer = self._peer
+        self._peer = peer._peer = None
+        self.layer.network.close_connection(self._qp.flow)
+        for sock in (self, peer):
+            for region in (sock._recv_mr, sock._rx_ring_mr, sock._bulk_mr,
+                           sock._ctrl_mr):
+                sock.vnic.dereg_mr(region)
 
     def _wake_receivers(self) -> None:
         if self._rx_waiters:
@@ -808,6 +831,12 @@ class FreeFlowSocket:
         self.close()
 
     def close(self) -> None:
-        """Abrupt local close (no FIN); use :meth:`shutdown` for EOF."""
+        """Abrupt local close (no FIN); use :meth:`shutdown` for EOF.
+
+        The connection's flow stays open and its memory regions stay
+        registered: without the FIN exchange neither end learns that
+        the other will not WRITE again.  Two orderly shutdowns release
+        both (:meth:`_release`).
+        """
         self.closed = True
         self.connected = False

@@ -106,7 +106,6 @@ class VirtualNic:
         self.network = network
         self.env = container.env
         self._mrs_by_rkey: dict[int, MemoryRegion] = {}
-        self._qps: dict[int, QueuePair] = {}
         self._pending_reads: dict[int, WorkRequest] = {}
         self.posts = 0
 
@@ -141,9 +140,7 @@ class VirtualNic:
         recv_cq: CompletionQueue,
         max_send_wr: int = 256,
     ) -> QueuePair:
-        qp = QueuePair(self, pd, send_cq, recv_cq, max_send_wr)
-        self._qps[qp.qp_num] = qp
-        return qp
+        return QueuePair(self, pd, send_cq, recv_cq, max_send_wr)
 
     def lookup_rkey(self, rkey: Optional[int]) -> Optional[MemoryRegion]:
         if rkey is None:

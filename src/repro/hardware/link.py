@@ -46,7 +46,8 @@ class Fabric:
         self.env = env
         self.switch_latency_s = switch_latency_s
         self.propagation_s = propagation_s
-        self._nics: list["PhysicalNic"] = []
+        #: Attached NICs by ``id()``, in attachment order.
+        self._nics: dict[int, "PhysicalNic"] = {}
         #: Busy per-(src, dst) delivery stages: arrivals at a destination
         #: NIC from one source are processed strictly in order, so a
         #: small message can never overtake a large one on the same
@@ -62,14 +63,14 @@ class Fabric:
 
     def attach(self, nic: "PhysicalNic") -> None:
         """Plug a NIC into the fabric."""
-        if nic in self._nics:
+        if id(nic) in self._nics:
             raise ValueError(f"{nic!r} already attached")
-        self._nics.append(nic)
+        self._nics[id(nic)] = nic
         nic.fabric = self
 
     @property
     def nics(self) -> tuple["PhysicalNic", ...]:
-        return tuple(self._nics)
+        return tuple(self._nics.values())
 
     # -- partitions ----------------------------------------------------------
 

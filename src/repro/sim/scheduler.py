@@ -232,15 +232,18 @@ class Environment:
                     callback(event)
             elif callbacks is not NO_CALLBACKS:
                 callbacks(event)
-
-            if not event._ok and not event.defused:
-                # A failure that nobody consumed: surface it loudly.
-                exc = event._value
-                raise exc
         finally:
             if observers:
                 for observer in observers:
                     observer.after(self, entry)
+        if not event._ok and not event.defused:
+            # A failure that nobody consumed: surface it loudly.  The
+            # traceback keeps this frame and the event keeps the
+            # exception, so the frame lets go of the event first.
+            try:
+                raise event._value
+            finally:
+                entry = best = event = callbacks = None
 
     def run(self, until: "float | Event | None" = None) -> Any:
         """Run the simulation.
@@ -256,7 +259,11 @@ class Environment:
         ``idle`` hook when the run returns with every queue drained.
         """
         observers = OBSERVERS
-        result = self._run(until, observers)
+        try:
+            result = self._run(until, observers)
+        except BaseException:
+            until = None  # a failed ``until`` must not outlive the raise
+            raise
         if observers and not (self._ready or self._tail or self._queue):
             for observer in observers:
                 observer.idle(self)
@@ -272,7 +279,10 @@ class Environment:
             if stop_event.processed:
                 if stop_event._ok:
                     return stop_event._value
-                raise stop_event._value
+                try:
+                    raise stop_event._value
+                finally:
+                    until = stop_event = None
             stop_event._add_callback(self._stop_on)
         else:
             stop_at = float(until)
@@ -326,7 +336,10 @@ class Environment:
                                 elif callbacks is not NO_CALLBACKS:
                                     callbacks(event)
                                 if not event._ok and not event.defused:
-                                    raise event._value
+                                    try:
+                                        raise event._value
+                                    finally:
+                                        event = best = callbacks = None
                                 if queue or (
                                     tail and tail[0][0] <= self._now
                                 ):
@@ -360,7 +373,10 @@ class Environment:
                         elif callbacks is not NO_CALLBACKS:
                             callbacks(event)
                         if not event._ok and not event.defused:
-                            raise event._value
+                            try:
+                                raise event._value
+                            finally:
+                                event = best = callbacks = None
                 finally:
                     self.events_processed += events
             else:
@@ -371,21 +387,24 @@ class Environment:
                         break
                     self.step()
         except StopSimulation as stop:
-            event = stop.args[0]
-            if event._ok:
-                return event._value
-            raise event._value from None
-
-        if stop_event is not None and not stop_event.processed:
-            raise RuntimeError(
-                "simulation ran out of events before `until` event triggered"
-            )
-        if stop_at != float("inf"):
-            self._now = stop_at
+            stop_event = stop.args[0]
+        else:
+            if stop_event is not None and not stop_event.processed:
+                raise RuntimeError(
+                    "simulation ran out of events before `until` event "
+                    "triggered"
+                )
+            if stop_at != float("inf"):
+                self._now = stop_at
+        # The outcome is raised outside the handler, so the failure does
+        # not take the StopSimulation (which holds the event) as context.
         if stop_event is not None:
             if stop_event._ok:
                 return stop_event._value
-            raise stop_event._value
+            try:
+                raise stop_event._value
+            finally:
+                until = stop_event = event = best = callbacks = None
         return None
 
     @staticmethod

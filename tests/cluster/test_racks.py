@@ -125,12 +125,36 @@ class TestRackAwarePlacement:
         cluster.add_host(Host(env, "h1"))
         assert cluster.submit(ContainerSpec("a")).host.name == "h1"
 
+    def test_placement_after_pinned_submits_counts_their_load(self, env):
+        """The placement index is built by the first rack-aware
+        placement, from the loads pinned submits left."""
+        cluster = build(env, hosts=4, racks=1)
+        cluster.fail_host("h3")
+        for name in ("a", "b"):
+            cluster.submit(ContainerSpec(name, pinned_host="h0"))
+        placed = [cluster.submit(ContainerSpec(f"c{i}")).host.name
+                  for i in range(4)]
+        assert placed == ["h1", "h2", "h1", "h2"]
+
     def test_rack_size_counts_up_hosts(self, env):
         cluster = build(env)
         assert cluster.rack_size("r0") == 2
         cluster.fail_host("h0")
         assert cluster.rack_size("r0") == len(cluster.rack_hosts("r0")) == 1
         assert cluster.rack_size("nope") == 0
+
+
+class TestPlacementCost:
+    def test_a_submit_examines_at_most_four_heap_entries(self, env):
+        """2,048 submits on 64 racks of 8 hosts examine at most 4 heap
+        entries each, the bound ``bench_datacenter.py --smoke`` gates
+        on: two live heads, plus at most the two entries each submit
+        kills.  A scan of every rack examines at least 64 + 8."""
+        cluster = build(env, hosts=512, racks=64)
+        submits = 2_048
+        for i in range(submits):
+            cluster.submit(ContainerSpec(f"c{i}"))
+        assert 2 * submits <= cluster.placement_checks <= 4 * submits
 
 
 class NaiveRackAware:
@@ -155,17 +179,23 @@ class NaiveRackAware:
 
 
 class TestRackAwareMatchesReference:
-    """Random submit / stop / fail / recover programs place every container
-    on the host a naive scan over ``rack_hosts()`` picks."""
+    """Random programs of submit (to a rack, to a pinned rack or to a
+    pinned host), stop, remove-and-resubmit, relocate, host failure and
+    recovery and mid-program host admission, on racks
+    of uneven size, place every container on the host a naive scan over
+    ``rack_hosts()`` picks; afterwards the placement heaps hold exactly
+    the keys that scan computes, and at most twice as many entries."""
 
-    HOSTS, RACKS = 11, 4
+    #: Host i's rack: r0 has 1 host, r1 2, r2 3 and r3 5.
+    RACK_OF = ("r0", "r1", "r2", "r3", "r1", "r2", "r3", "r2", "r3", "r3",
+               "r3")
 
     def _fleet(self, strategy):
         env = Environment()
         cluster = ClusterOrchestrator(env, strategy=strategy)
         strategy.cluster = cluster
-        for i in range(self.HOSTS):
-            cluster.add_host(Host(env, f"h{i}"), rack=f"r{i % self.RACKS}")
+        for i, rack in enumerate(self.RACK_OF):
+            cluster.add_host(Host(env, f"h{i}"), rack=rack)
         return cluster
 
     @staticmethod
@@ -175,8 +205,19 @@ class TestRackAwareMatchesReference:
             if kind == "submit":
                 name, labels = arg
                 return cluster.submit(ContainerSpec(name, labels=labels)).host.name
+            if kind == "pin":
+                name, host = arg
+                return cluster.submit(
+                    ContainerSpec(name, pinned_host=host)).host.name
             if kind == "stop":
                 return cluster.stop(arg)
+            if kind == "remove":
+                return cluster.remove(arg)
+            if kind == "relocate":
+                return cluster.relocate(*arg).host.name
+            if kind == "add":
+                name, rack = arg
+                return cluster.add_host(Host(cluster.env, name), rack=rack)
             if kind == "fail":
                 return cluster.fail_host(arg)
             return cluster.recover_host(arg)
@@ -185,25 +226,52 @@ class TestRackAwareMatchesReference:
 
     def _program(self, rng, steps=120):
         ops, names, down = [], [], set()
+        rack_of = {f"h{i}": rack for i, rack in enumerate(self.RACK_OF)}
+        hosts = list(rack_of)
         for step in range(steps):
             roll = rng.random()
             if step == steps // 2:
-                # Take rack r1 down entirely, then pin a submit to it.
-                for i in range(1, self.HOSTS, self.RACKS):
-                    if f"h{i}" not in down:
-                        down.add(f"h{i}")
-                        ops.append(("fail", f"h{i}"))
+                # Take rack r1 down entirely and pin a submit to it, then
+                # recover one of its hosts into the empty rack.
+                for host in hosts:
+                    if rack_of[host] == "r1" and host not in down:
+                        down.add(host)
+                        ops.append(("fail", host))
                 ops.append(("submit", (f"c{step}", {"rack": "r1"})))
-            elif roll < 0.6:
+                down.discard("h4")
+                ops.append(("recover", "h4"))
+                names.append(f"c{step}r")
+                ops.append(("submit", (f"c{step}r", {"rack": "r1"})))
+            elif step == 0 or roll < 0.05:
+                # Pinned to a host: load that no placement chose.  The
+                # first three land before the placement index is built.
+                host = hosts[rng.randrange(len(hosts))]
+                for i in range(3 if step == 0 else 1):
+                    names.append(f"c{step}.{i}")
+                    ops.append(("pin", (names[-1], host)))
+            elif roll < 0.45:
                 labels = {}
                 if rng.random() < 0.2:
-                    labels = {"rack": f"r{rng.randrange(self.RACKS)}"}
+                    labels = {"rack": f"r{rng.randrange(5)}"}
                 names.append(f"c{step}")
                 ops.append(("submit", (f"c{step}", labels)))
-            elif roll < 0.75 and names:
+            elif roll < 0.55 and names:
                 ops.append(("stop", names.pop(rng.randrange(len(names)))))
+            elif roll < 0.62 and names:
+                name = names[rng.randrange(len(names))]
+                ops.append(("remove", name))
+                ops.append(("submit", (name, {})))
+            elif roll < 0.72 and names:
+                # Any registered host, down ones included: load lands on
+                # a rack without changing its up-set.
+                ops.append(("relocate", (names[rng.randrange(len(names))],
+                                         hosts[rng.randrange(len(hosts))])))
+            elif roll < 0.76:
+                hosts.append(f"h{len(hosts)}")
+                rack_of[hosts[-1]] = f"r{rng.randrange(5)}"
+                ops.append(("add", (hosts[-1], rack_of[hosts[-1]])))
             elif roll < 0.88:
-                host = f"h{rng.randrange(self.HOSTS)}"
+                host = hosts[rng.randrange(len(hosts))]
                 if host not in down:
                     down.add(host)
                     ops.append(("fail", host))
@@ -213,7 +281,23 @@ class TestRackAwareMatchesReference:
                 ops.append(("recover", host))
         return ops
 
-    @pytest.mark.parametrize("seed", range(25))
+    @staticmethod
+    def _check_index(cluster):
+        """The live heap entries are the scan's keys, and every heap
+        holds at most twice its live entries."""
+        racks = {}
+        for rack in cluster.rack_names():
+            up = cluster.rack_hosts(rack)
+            hosts = {h.name: (cluster.load_of(h.name), h.name) for h in up}
+            assert cluster._host_entry[rack] == hosts, rack
+            assert (len(cluster._host_heap[rack])
+                    <= 2 * len(cluster._host_entry[rack])), rack
+            if up:
+                racks[rack] = (cluster.rack_load(rack) / len(up), rack)
+        assert cluster._rack_entry == racks
+        assert len(cluster._rack_heap) <= 2 * len(cluster._rack_entry)
+
+    @pytest.mark.parametrize("seed", range(100))
     def test_same_host_sequence(self, seed):
         ops = self._program(random.Random(seed))
         fast = self._fleet(RackAwareStrategy())
@@ -222,7 +306,10 @@ class TestRackAwareMatchesReference:
         for op in ops:
             results.append(self._apply(fast, op))
             assert results[-1] == self._apply(naive, op), op
-        assert "PlacementError" in results  # the submit pinned to dead r1
+        # The submit pinned to rack r1 while all of its hosts are down.
+        pinned = ops.index(("submit", ("c60", {"rack": "r1"})))
+        assert results[pinned] == "PlacementError"
+        self._check_index(fast)
 
 
 class TestLeaseBackedLiveness:

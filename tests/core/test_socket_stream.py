@@ -268,3 +268,57 @@ def test_broken_flow_repair_conserves_streamed_bytes(
     ring_tagged = sum(n for n, _p, from_ring in server_sock._rx_buffer
                       if from_ring)
     assert server_sock._rx_ring.used == ring_tagged == 0
+
+
+def test_two_orderly_shutdowns_release_the_flow_and_memory_regions(
+    env, layer, network, remote_pair, runner
+):
+    """Once both ends shut down and each applied the other's FIN, no
+    WRITE can reach either end: the connection's flow closes and both
+    sockets' memory regions are deregistered, whichever end shuts down
+    first.  An abrupt ``close()`` keeps both (no FIN, no release)."""
+    client_c, server_c = remote_pair
+    listener = layer.listen(server_c, 7105)
+    cycles = 50
+    received = []
+
+    def server(server_first):
+        sock = yield from listener.accept()
+        received.append((yield from sock.recv_exactly(500)))
+        if server_first:
+            yield from sock.shutdown()
+        else:
+            received.append((yield from sock.recv()))  # EOF
+            yield from sock.shutdown()
+
+    def go():
+        for cycle in range(cycles):
+            server_first = cycle % 2 == 1
+            server_proc = env.process(server(server_first))
+            sock = layer.socket(client_c)
+            yield from sock.connect(server_c.ip, 7105)
+            yield from sock.send(500, payload=cycle)
+            if server_first:
+                yield server_proc
+            yield from sock.shutdown()
+            yield server_proc
+        yield env.timeout(0.01)  # the last FINs land
+
+    runner(go())
+    assert [r for r in received if r[0]] == [(500, c) for c in range(cycles)]
+    assert len(network.flows) == 0
+    for name in ("client", "server"):
+        assert network.vnic(name)._mrs_by_rkey == {}
+
+    sock = layer.socket(client_c)
+
+    def abrupt():
+        yield from sock.connect(server_c.ip, 7105)
+        peer = yield from listener.accept()
+        sock.close()
+        yield from peer.shutdown()
+        yield env.timeout(0.01)
+
+    runner(abrupt())
+    assert len(network.flows) == 1
+    assert len(network.vnic("client")._mrs_by_rkey) == 4

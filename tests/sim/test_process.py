@@ -232,6 +232,46 @@ def test_a_failed_process_nobody_awaits_is_freed_without_the_collector(env):
         gc.enable()
 
 
+@pytest.mark.parametrize("until", [None, 5.0])
+def test_a_failure_run_re_raises_frees_its_process(env, until):
+    """``run()`` re-raising the failure of a process nobody awaited, as
+    the batched drain or as ``step()`` (a time bound), leaves no frame
+    of the engine holding the process, so it is freed by reference
+    counting once the caller drops the exception."""
+    gc.collect()
+    gc.disable()
+    try:
+        before = live_processes()
+        env.process(fails(env))
+        try:
+            env.run(until=until)
+        except ValueError:
+            pass
+        assert live_processes() == before
+    finally:
+        gc.enable()
+
+
+def test_run_until_a_failed_process_frees_it(env):
+    """``run(until=process)`` re-raises the process's failure, both when
+    it fails during the run and when it had failed before; neither
+    leaves the process in a cycle through the traceback."""
+    gc.collect()
+    gc.disable()
+    try:
+        before = live_processes()
+        process = env.process(fails(env))
+        for _ in range(2):  # fails during the run, then already failed
+            try:
+                env.run(until=process)
+            except ValueError:
+                pass
+        del process
+        assert live_processes() == before
+    finally:
+        gc.enable()
+
+
 def test_a_failed_process_and_the_waiter_that_caught_it_are_freed(env):
     """A waiter that catches a process's failure and returns leaves
     neither process behind.  A waiter whose catching frame keeps the
