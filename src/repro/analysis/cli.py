@@ -3,7 +3,9 @@
 Modes:
 
 * default — lint ``src/repro`` (or the given paths), report findings,
-  exit 1 if any finding is *new* (not in the baseline);
+  exit 1 if any finding is *new* (not in the baseline) or any baseline
+  entry is *stale* (its file was linted and nothing matches it any
+  more), so the baseline can only shrink;
 * ``--fail-on-new`` — the same gate, spelled out for CI readability;
 * ``--write-baseline`` — record the current findings as the tolerated
   set and exit 0 (run after intentionally accepting a finding);
@@ -75,7 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="ignore the baseline; every finding counts as new")
     parser.add_argument(
         "--fail-on-new", action="store_true",
-        help="exit 1 when findings outside the baseline exist "
+        help="exit 1 when findings outside the baseline exist or a "
+             "baseline entry for a linted file matches nothing "
              "(this is the default behaviour; the flag spells out the "
              "CI contract)")
     parser.add_argument(
@@ -141,24 +144,35 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     baseline = set() if args.no_baseline else core.load_baseline(
         baseline_path)
     new, known = core.partition(findings, baseline)
+    linted = {core.display_path(path) for path in core.collect_files(paths)}
+    matched = {finding.fingerprint() for finding in known}
+    stale = sorted(entry for entry in baseline
+                   if entry[1] in linted and entry not in matched)
 
     if args.format == "json":
         print(json.dumps({
             "new": [_record(f) for f in new],
             "baselined": [_record(f) for f in known],
+            "stale": [dict(zip(("rule", "path", "snippet"), entry))
+                      for entry in stale],
         }, indent=2))
     else:
         for finding in new:
             print(finding.format())
+        for rule, path, snippet in stale:
+            print(f"{path}: {rule} stale baseline entry, nothing matches "
+                  f"{snippet!r}")
         summary = (f"simlint: {len(new)} new finding(s), "
-                   f"{len(known)} baselined")
+                   f"{len(known)} baselined, {len(stale)} stale")
         if new:
             summary += (f" — fix them, add a '# simlint: disable=...' "
                         f"pragma with a reason, or rerun with "
                         f"--write-baseline to accept")
-        print(summary, file=sys.stderr if new else sys.stdout)
+        elif stale:
+            summary += " — rerun with --write-baseline to drop them"
+        print(summary, file=sys.stderr if new or stale else sys.stdout)
 
-    return 1 if new else 0
+    return 1 if new or stale else 0
 
 
 def _record(finding: core.Finding) -> dict:

@@ -1167,7 +1167,7 @@ class Pump:
         req = self._lock.request()
         yield req
         item = yield self._inbox.get()
-        self._lock.release(req)
+        req.cancel()
         return item
 """
     example_good = """\

@@ -357,6 +357,8 @@ class _Scan:
         self.held: List[_Hold] = []
         #: bare-request variables: name -> Resource.
         self.requests: Dict[str, Resource] = {}
+        #: granted bare requests: name -> Resource (``req.cancel()``).
+        self.granted: Dict[str, Resource] = {}
         #: ``with r.request() as claim`` names: yield of them is a park.
         self.claims: Set[str] = set()
         #: local constructor evidence: name -> kind.
@@ -496,7 +498,7 @@ class _Scan:
             if value.id in self.requests:
                 # ``req = lock.request()`` ... ``yield req``: the bare
                 # acquisition this rule set exists for.
-                res = self.requests.pop(value.id)
+                res = self.granted[value.id] = self.requests.pop(value.id)
                 self._park_checks(stmt)
                 self._acquire(res, stmt)
                 self.held.append(_Hold(res, "bare", site,
@@ -602,12 +604,12 @@ class _Scan:
             self._settle_debits()
 
     def _maybe_release(self, expr: ast.expr) -> None:
-        """``claim.cancel()`` / ``res.release(req)``: bare hold released."""
+        """``req.cancel()`` / ``res.release(...)``: bare hold released."""
         if not (isinstance(expr, ast.Call)
                 and isinstance(expr.func, ast.Attribute)):
             return
         if expr.func.attr in ("cancel", "release"):
-            res = self._resource_of(expr.func.value)
+            res = self._released_by(expr.func.value)
             for hold in reversed(self.held):
                 if hold.how == "bare" and (
                         res is None or hold.res.key == res.key):
@@ -623,10 +625,16 @@ class _Scan:
                         and isinstance(node.func, ast.Attribute)
                         and node.func.attr in ("put", "get", "release",
                                                "cancel")):
-                    res = self._resource_of(node.func.value)
+                    res = self._released_by(node.func.value)
                     if res is not None:
                         keys.add(res.key)
         return frozenset(keys)
+
+    def _released_by(self, receiver: ast.expr) -> Optional[Resource]:
+        """What a call on ``receiver`` releases (a request's resource)."""
+        if isinstance(receiver, ast.Name) and receiver.id in self.granted:
+            return self.granted[receiver.id]
+        return self._resource_of(receiver)
 
     # -- rule checks ---------------------------------------------------------
 

@@ -49,9 +49,6 @@ class NetVmChannel(DuplexChannel):
 class NetVmNetwork:
     """Builds NetVM channels between containers in co-located VMs."""
 
-    def __init__(self) -> None:
-        self.channels: list[NetVmChannel] = []
-
     def connect(self, a: Container, b: Container) -> NetVmChannel:
         if a.vm is None or b.vm is None:
             raise TransportUnavailable("NetVM connects VMs, not bare metal")
@@ -63,6 +60,4 @@ class NetVmNetwork:
             raise TransportUnavailable(
                 "same-VM containers should use plain shared memory"
             )
-        channel = NetVmChannel(a.host)
-        self.channels.append(channel)
-        return channel
+        return NetVmChannel(a.host)

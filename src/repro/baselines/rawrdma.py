@@ -20,9 +20,6 @@ __all__ = ["RawRdmaNetwork"]
 class RawRdmaNetwork:
     """Direct verbs-level RDMA channels, no overlay, no portability."""
 
-    def __init__(self) -> None:
-        self.channels: list[RdmaChannel] = []
-
     def connect(
         self,
         a: Container,
@@ -33,6 +30,4 @@ class RawRdmaNetwork:
             raise TransportUnavailable(
                 "raw RDMA needs RDMA-capable NICs on both hosts"
             )
-        channel = RdmaChannel(a.host, b.host, window_bytes)
-        self.channels.append(channel)
-        return channel
+        return RdmaChannel(a.host, b.host, window_bytes)

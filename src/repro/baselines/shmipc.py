@@ -20,15 +20,10 @@ __all__ = ["ShmIpcNetwork"]
 class ShmIpcNetwork:
     """Hand-rolled shared-memory IPC between co-located containers."""
 
-    def __init__(self) -> None:
-        self.channels: list[ShmChannel] = []
-
     def connect(self, a: Container, b: Container) -> ShmChannel:
         if not a.colocated(b):
             raise TransportUnavailable(
                 "shared-memory IPC only works on a single host "
                 f"({a.name} is on {a.host.name}, {b.name} on {b.host.name})"
             )
-        channel = ShmChannel(a.host)
-        self.channels.append(channel)
-        return channel
+        return ShmChannel(a.host)

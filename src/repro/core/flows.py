@@ -521,21 +521,17 @@ class FlowReconciler:
 
     DRAIN_POLL_S = 100e-6
     SETTLE_POLL_S = 100e-6
-    #: Default watch flush window.  0.0 still batches: every delivery in
-    #: the same simulated instant (a lease-expiry cascade, a rack of
-    #: host DELETEs) coalesces into one WatchBatch, with no added
+    #: Flush window of the three watches.  0.0 still batches: every
+    #: delivery in the same simulated instant (a lease-expiry cascade, a
+    #: rack of host DELETEs) coalesces into one WatchBatch, with no added
     #: latency for the solitary-event case.
     COALESCE_S = 0.0
 
     def __init__(self, network: "FreeFlowNetwork",
-                 backoff: Optional[Backoff] = None,
-                 coalesce_s: Optional[float] = COALESCE_S) -> None:
+                 backoff: Optional[Backoff] = None) -> None:
         self.network = network
         self.env = network.env
         self.table = network.flows
-        #: Flush window handed to the three watches (None = per-event
-        #: delivery, the pre-batching behaviour).
-        self.coalesce_s = coalesce_s
         #: Retry schedule for rebind/repair attempts.  Seeded (stream
         #: name, not wall clock), so runs are reproducible; pass a
         #: custom :class:`~repro.sim.backoff.Backoff` to retune.
@@ -567,11 +563,11 @@ class FlowReconciler:
         orchestrator = self.network.orchestrator
         containers = orchestrator.kv.watch(
             "/network/containers/", include_existing=True,
-            coalesce_s=self.coalesce_s,
+            coalesce_s=self.COALESCE_S,
         )
-        hosts = self.network.cluster.watch_hosts(coalesce_s=self.coalesce_s)
+        hosts = self.network.cluster.watch_hosts(coalesce_s=self.COALESCE_S)
         capabilities = orchestrator.watch_capabilities(
-            coalesce_s=self.coalesce_s
+            coalesce_s=self.COALESCE_S
         )
         self._watches = [containers, hosts, capabilities]
         self._procs = [
@@ -647,7 +643,9 @@ class FlowReconciler:
 
     @staticmethod
     def _events_of(item) -> tuple:
-        """Normalize a queue item: coalesced batch or single event."""
+        """Normalize a queue item: coalesced batch or single event.  A
+        coalescing watch still gets single events from ``resync`` and
+        history replay."""
         if type(item) is WatchBatch:
             return item.events
         return (item,)

@@ -48,6 +48,7 @@ from ..errors import (
     SocketError,
     SocketShutdownError,
 )
+from ..sim.process import Interrupt
 from ..sim.resources import Resource, Store, Tank
 from ..telemetry import registry as _registry
 from ..transports.packet import EndpointAddr
@@ -285,6 +286,7 @@ class FreeFlowSocket:
         #: debit/staged gap exactly.
         self._credit_debt_pending = 0
         self._doorbell = None
+        self._workers: tuple = ()  # flusher, dispatcher until _release
         self._flush_busy = False
         self._idle_waiters: list = []
         self._rx_waiters: list = []
@@ -325,8 +327,8 @@ class FreeFlowSocket:
         self._doorbell = self.env.event()
 
     def _start_streaming(self) -> None:
-        self.env.process(self._flusher())
-        self.env.process(self._dispatcher())
+        self._workers = (self.env.process(self._flusher()),
+                         self.env.process(self._dispatcher()))
 
     def connect(self, ip: str, port: int):
         """Active open (generator): rendezvous through the orchestrator."""
@@ -457,7 +459,10 @@ class FreeFlowSocket:
         """Doorbell-driven coalescer: one pass drains everything staged
         into as few WRITEs as wrap boundaries allow."""
         while True:
-            yield self._doorbell
+            try:
+                yield self._doorbell
+            except Interrupt:
+                return
             self._doorbell = self.env.event()
             self._flush_busy = True
             try:
@@ -545,9 +550,13 @@ class FreeFlowSocket:
 
     def _dispatcher(self):
         """Batched completion pump: one CQ wake applies a whole burst of
-        landed WRITEs and wakes every parked ``recv`` in one pass."""
-        while True:
-            wcs = yield from self._qp.recv_cq.wait_batch()
+        landed WRITEs and wakes every parked ``recv`` in one pass, until
+        the connection is released."""
+        while self._peer is not None:
+            try:
+                wcs = yield from self._qp.recv_cq.wait_batch()
+            except Interrupt:
+                return
             self._apply_completions(wcs)
 
     def _apply_completions(self, wcs: list) -> int:
@@ -614,9 +623,10 @@ class FreeFlowSocket:
             )
 
     def _release(self) -> None:
-        """Close the connection's flow and deregister both ends' memory
-        regions, once both ends shut down and each applied the other's
-        FIN.
+        """Close the connection's flow, deregister both ends' memory
+        regions and end both ends' processes, once both ends shut down
+        and each applied the other's FIN.  Runs in this socket's
+        dispatcher, which returns on its own; the rest are interrupted.
 
         No WRITE can target either end any more: RC delivery is in
         order, FIN is the last WRITE a side posts, and
@@ -625,10 +635,16 @@ class FreeFlowSocket:
         peer = self._peer
         self._peer = peer._peer = None
         self.layer.network.close_connection(self._qp.flow)
+        running = self.env.active_process
         for sock in (self, peer):
             for region in (sock._recv_mr, sock._rx_ring_mr, sock._bulk_mr,
                            sock._ctrl_mr):
                 sock.vnic.dereg_mr(region)
+            sock.vnic.unbind(sock._qp)
+            workers, sock._workers = sock._workers, ()
+            for worker in workers:
+                if worker is not running:
+                    worker.interrupt("released")
 
     def _wake_receivers(self) -> None:
         if self._rx_waiters:

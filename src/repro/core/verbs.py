@@ -365,6 +365,8 @@ class QueuePair:
         #: Set when the vNIC connects this QP to a peer.
         self.remote: Optional["QueuePair"] = None
         self.channel_end = None
+        #: The vNIC's send and receive engines while bound.
+        self._engines: tuple = ()
         #: The flow that connects this QP, set by
         #: :meth:`~repro.core.network.FreeFlowNetwork.connect`.
         self.flow = None

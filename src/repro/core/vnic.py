@@ -153,21 +153,22 @@ class VirtualNic:
         """Attach a connected channel end to a QP and start its engines."""
         qp.channel_end = end
         qp.remote = remote
-        qp._engines = [
+        qp._engines = (
             self.env.process(self._sq_engine(qp)),
             self.env.process(self._rx_engine(qp)),
-        ]
+        )
+
+    def unbind(self, qp: QueuePair) -> None:
+        """Interrupt the QP's engines; the caller drains in-flight work
+        first (see :mod:`repro.core.migration`)."""
+        engines, qp._engines = qp._engines, ()
+        for engine in engines:
+            if engine.is_alive:
+                engine.interrupt("unbind")
 
     def rebind(self, qp: QueuePair, end: ChannelEnd, remote: QueuePair) -> None:
-        """Swap the QP onto a new channel (live-migration support, §7).
-
-        The old engines are interrupted at their current wait point; the
-        migration controller is responsible for draining in-flight work
-        first (see :mod:`repro.core.migration`).
-        """
-        for engine in getattr(qp, "_engines", []):
-            if engine.is_alive:
-                engine.interrupt("rebind")
+        """Swap the QP onto a new channel (live-migration support, §7)."""
+        self.unbind(qp)
         self.bind(qp, end, remote)
 
     # -- posting cost ----------------------------------------------------------------

@@ -2,15 +2,17 @@
 
 CPU cores, the memory bus, NICs with RDMA engines, the switched fabric,
 hosts and VMs — calibrated in :mod:`repro.hardware.specs` against the
-paper's Xeon + Mellanox CX3 testbed.
+paper's Xeon + Mellanox CX3 testbed.  Every contended part (cores, the
+NIC engine, each pipe) is a FIFO :class:`ServicePool`.
 """
 
 from .bandwidth import BandwidthPipe
-from .cpu import CoreClaim, CpuSet
+from .cpu import CpuSet
 from .host import Host
 from .link import Fabric
 from .memory import MemoryBus
 from .nic import PhysicalNic
+from .service import CoreClaim, ServicePool
 from .topology import FabricLink, FatTreeFabric, FatTreeTopology, SwitchNode
 from .specs import (
     GBPS,
@@ -52,6 +54,7 @@ __all__ = [
     "PAPER_TESTBED",
     "PhysicalNic",
     "ShmSpec",
+    "ServicePool",
     "SwitchNode",
     "VirtualMachine",
     "VmSpec",

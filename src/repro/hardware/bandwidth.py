@@ -1,7 +1,7 @@
 """Shared-bandwidth pipes: the common mechanism behind buses, links, NICs.
 
 A :class:`BandwidthPipe` serialises data at a fixed byte rate.  Transfers
-are split into chunks and the pipe is acquired per chunk, so concurrent
+are split into chunks and its one FIFO server is taken per chunk, so
 flows interleave and converge to a fair share while the aggregate stays at
 the pipe's capacity — which is how multi-pair experiments saturate the
 memory bus (shm) or the NIC link (RDMA) without any closed-form math.
@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..sim.monitor import TimeWeighted
-from ..sim.resources import Resource
+from .service import ServicePool
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.scheduler import Environment
@@ -20,7 +19,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["BandwidthPipe"]
 
 
-class BandwidthPipe:
+class BandwidthPipe(ServicePool):
     """Serialises bytes at ``rate_bytes`` per second, time-shared by chunk.
 
     Parameters
@@ -46,12 +45,10 @@ class BandwidthPipe:
             raise ValueError(f"rate must be positive, got {rate_bytes}")
         if chunk_bytes <= 0:
             raise ValueError(f"chunk_bytes must be positive, got {chunk_bytes}")
-        self.env = env
+        super().__init__(env)
         self.name = name
         self.rate_bytes = float(rate_bytes)
         self.chunk_bytes = int(chunk_bytes)
-        self._slots = Resource(env, capacity=1)
-        self._busy = TimeWeighted(env)
         self._bytes_moved = 0.0
 
     @property
@@ -63,7 +60,7 @@ class BandwidthPipe:
         """Uncontended serialisation time for ``nbytes``."""
         return nbytes / self.rate_bytes
 
-    def transfer(self, nbytes: float, priority: int = 0):
+    def transfer(self, nbytes: float):
         """Move ``nbytes`` through the pipe (generator; yield from it).
 
         Returns (via StopIteration) the time the transfer took, useful to
@@ -75,21 +72,11 @@ class BandwidthPipe:
         remaining = float(nbytes)
         while remaining > 0:
             chunk = min(remaining, self.chunk_bytes)
-            with self._slots.request(priority=priority) as slot:
-                yield slot
-                self._busy.add(1)
-                try:
-                    yield self.env.timeout(chunk / self.rate_bytes)
-                finally:
-                    self._busy.add(-1)
+            yield from self.serve(chunk)
             remaining -= chunk
             self._bytes_moved += chunk
         return self.env.now - start
 
-    def utilisation(self) -> float:
-        """Time-weighted busy fraction in [0, 1]."""
-        return self._busy.mean()
-
     def reset_accounting(self) -> None:
-        self._busy.reset()
+        super().reset_accounting()
         self._bytes_moved = 0.0

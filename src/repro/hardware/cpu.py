@@ -1,47 +1,25 @@
-"""CPU model: a set of cores as a contended resource with accounting.
+"""CPU model: a set of cores as FIFO servers with a busy count.
 
 All software costs in the simulation — kernel stack traversal, memcpy,
 verbs posting, overlay routing — are expressed in *cycles* and executed
 here, so CPU utilisation (the paper's third metric) falls out of the same
-mechanism that limits throughput.
+mechanism that limits throughput: ``spec.cores`` FIFO servers.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from ..sim.monitor import TimeWeighted
-from ..sim.resources import Request, Resource
+from .service import CoreClaim, ServicePool
 from .specs import CpuSpec
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.scheduler import Environment
 
-__all__ = ["CpuSet", "CoreClaim"]
+__all__ = ["CpuSet"]
 
 
-class CoreClaim:
-    """A long-lived hold on one core (e.g. a DPDK poll-mode thread).
-
-    Created via :meth:`CpuSet.dedicate`; call :meth:`release` to give the
-    core back.  The core counts as busy for the whole claim, matching how
-    a spinning PMD thread shows up in ``top``.
-    """
-
-    def __init__(self, cpu: "CpuSet", request: Request) -> None:
-        self._cpu = cpu
-        self._request = request
-        self._released = False
-
-    def release(self) -> None:
-        if self._released:
-            return
-        self._released = True
-        self._request.cancel()
-        self._cpu.busy.add(-1)
-
-
-class CpuSet:
+class CpuSet(ServicePool):
     """``spec.cores`` identical cores at ``spec.frequency_hz``.
 
     The main entry point is :meth:`execute`, a generator that occupies one
@@ -51,12 +29,8 @@ class CpuSet:
     """
 
     def __init__(self, env: "Environment", spec: Optional[CpuSpec] = None) -> None:
-        self.env = env
         self.spec = spec or CpuSpec()
-        self._cores = Resource(env, capacity=self.spec.cores)
-        #: Busy-core count over time; its time-weighted mean is the
-        #: utilisation (1.0 == one core burning).
-        self.busy = TimeWeighted(env)
+        super().__init__(env, capacity=self.spec.cores)
 
     @property
     def cores(self) -> int:
@@ -71,7 +45,7 @@ class CpuSet:
         """Wall time for ``cycles`` on one core (no queueing)."""
         return self.spec.seconds_for(cycles)
 
-    def execute(self, cycles: float, priority: int = 0):
+    def execute(self, cycles: float):
         """Run ``cycles`` of work on one core (generator; yield from it).
 
         Queues if all cores are busy; the wait time is how CPU saturation
@@ -81,13 +55,7 @@ class CpuSet:
             raise ValueError(f"negative cycles {cycles}")
         if cycles == 0:
             return
-        with self._cores.request(priority=priority) as claim:
-            yield claim
-            self.busy.add(1)
-            try:
-                yield self.env.timeout(self.seconds_for(cycles))
-            finally:
-                self.busy.add(-1)
+        yield from self.serve(cycles)
 
     def dedicate(self) -> CoreClaim:
         """Permanently claim a core (DPDK PMD thread).
@@ -96,22 +64,13 @@ class CpuSet:
         raises, because a real PMD pin would simply starve — surfacing the
         misconfiguration is more useful in experiments.
         """
-        request = self._cores.request(priority=-1)
-        if not request.triggered:
-            request.cancel()
+        claim = self.claim()
+        if claim is None:
             raise RuntimeError(
-                f"no free core to dedicate ({self._cores.count}/{self.cores} busy)"
+                f"no free core to dedicate (all {self.cores} busy)"
             )
-        self.busy.add(1)
-        return CoreClaim(self, request)
-
-    def utilisation(self) -> float:
-        """Mean busy cores over the measurement window (1.0 = one core)."""
-        return self.busy.mean()
+        return claim
 
     def utilisation_percent(self) -> float:
         """Paper-style CPU usage: 200.0 means two cores' worth."""
-        return 100.0 * self.busy.mean()
-
-    def reset_accounting(self) -> None:
-        self.busy.reset()
+        return 100.0 * self.utilisation()

@@ -61,17 +61,13 @@ class Host:
 
     # -- convenience wrappers used throughout the transports ---------------
 
-    def execute(self, cycles: float, priority: int = 0):
-        """Run CPU work on this host (generator)."""
-        yield from self.cpu.execute(cycles, priority=priority)
-
-    def memcpy(self, nbytes: float, priority: int = 0):
+    def memcpy(self, nbytes: float):
         """One-core memcpy through this host's memory bus (generator)."""
-        yield from self.memory.copy(self.cpu, nbytes, priority=priority)
+        yield from self.memory.copy(self.cpu, nbytes)
 
-    def dma(self, nbytes: float, priority: int = 0):
+    def dma(self, nbytes: float):
         """Device DMA through the memory bus, no CPU (generator)."""
-        yield from self.memory.dma(nbytes, priority=priority)
+        yield from self.memory.dma(nbytes)
 
     def reset_accounting(self) -> None:
         """Restart utilisation windows (called at measurement start)."""

@@ -129,7 +129,6 @@ class Fabric:
         dst: "PhysicalNic",
         wire_bytes: float,
         deliver: Callable[[], None],
-        priority: int = 0,
         flow=None,
         trace=None,
     ):
@@ -155,13 +154,12 @@ class Fabric:
         if src is dst:
             raise ValueError("use host-local channels for loopback traffic")
         sent_at = self.env.now
-        yield from src.egress.transfer(wire_bytes, priority=priority)
+        yield from src.egress.transfer(wire_bytes)
         # A single switch is an empty path: straight to delivery.
-        self._arrive(src, dst, wire_bytes, priority, deliver, trace,
-                     sent_at, None)
+        self._arrive(src, dst, wire_bytes, deliver, trace, sent_at, None)
 
-    def _arrive(self, src, dst, wire_bytes, priority, deliver, trace,
-                sent_at, order) -> None:
+    def _arrive(self, src, dst, wire_bytes, deliver, trace, sent_at,
+                order) -> None:
         """Queue a message at the (src, dst) delivery stage, arriving
         one switch hop from now.  ``order`` is the fat-tree's (flowlet
         key, sequence number), which the stage hands to its
@@ -172,7 +170,7 @@ class Fabric:
         if stage is None:
             stage = self._stages[key] = Stage(self.env)
         stage.put((self.env.now + self.one_way_latency_s, wire_bytes,
-                   priority, deliver, trace, sent_at, order),
+                   deliver, trace, sent_at, order),
                   partial(self._delivery_stage, src, dst, stage))
 
     def _delivery_stage(self, src, dst, stage, item):
@@ -186,14 +184,13 @@ class Fabric:
         """
         env = self.env
         while item is not None:
-            (arrival_at, wire_bytes, priority, deliver, trace, sent_at,
-             order) = item
+            arrival_at, wire_bytes, deliver, trace, sent_at, order = item
             wait = arrival_at - env.now
             if wait > 0:
                 yield env.timeout(wait)
             while self.partitioned(src, dst):
                 yield self._healed()
-            yield from dst.ingress.transfer(wire_bytes, priority=priority)
+            yield from dst.ingress.transfer(wire_bytes)
             if order is not None:
                 self.tracer.observe(*order)
             if trace is not None:

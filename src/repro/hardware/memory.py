@@ -57,11 +57,11 @@ class MemoryBus:
 
     # -- bandwidth ----------------------------------------------------------
 
-    def dma(self, nbytes: float, priority: int = 0):
+    def dma(self, nbytes: float):
         """Move bytes via device DMA: consumes bus bandwidth, no CPU."""
-        yield from self.pipe.transfer(nbytes, priority=priority)
+        yield from self.pipe.transfer(nbytes)
 
-    def copy(self, cpu: CpuSet, nbytes: float, priority: int = 0):
+    def copy(self, cpu: CpuSet, nbytes: float):
         """A memcpy of ``nbytes`` performed by one core.
 
         The copy is bounded by whichever is slower: the core's copy rate
@@ -73,22 +73,14 @@ class MemoryBus:
         if nbytes == 0:
             return
         cpu_seconds = cpu.seconds_for(nbytes * self.spec.copy_cycles_per_byte)
-
-        def _copy_with_core():
-            start = self.env.now
-            bus_seconds = yield from self.pipe.transfer(nbytes, priority=priority)
-            # If the core-side copy rate is the bottleneck, the remainder
-            # of the copy time is spent executing (bus already released).
-            extra = cpu_seconds - bus_seconds
-            if extra > 0:
-                yield self.env.timeout(extra)
-            return self.env.now - start
-
         # Hold one core for the whole copy (stall time included).
-        with cpu._cores.request(priority=priority) as claim:
-            yield claim
-            cpu.busy.add(1)
-            try:
-                yield from _copy_with_core()
-            finally:
-                cpu.busy.add(-1)
+        yield from cpu.hold(self._copy(nbytes, cpu_seconds))
+
+    def _copy(self, nbytes: float, cpu_seconds: float):
+        """The bytes of a copy, run while its core is held (generator)."""
+        bus_seconds = yield from self.pipe.transfer(nbytes)
+        # If the core-side copy rate is the bottleneck, the remainder
+        # of the copy time is spent executing (bus already released).
+        extra = cpu_seconds - bus_seconds
+        if extra > 0:
+            yield self.env.timeout(extra)

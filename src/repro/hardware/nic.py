@@ -5,9 +5,10 @@ The NIC owns three contended parts:
 * ``egress`` / ``ingress`` — the wire itself (serialisation at link rate),
   shared by every transport that touches the network (kernel TCP, DPDK,
   RDMA), so cross-transport interference is captured naturally;
-* ``engine`` — the embedded processor that services RDMA work requests.
-  It caps small-message op rate and is the "NIC CPU" whose utilisation
-  the paper's §2.4 sketch ("Figure 2(c)") plots.
+* ``engine`` — the embedded processor that services RDMA work requests,
+  one FIFO server at a fixed time per request.  It caps small-message op
+  rate and is the "NIC CPU" whose utilisation the paper's §2.4 sketch
+  ("Figure 2(c)") plots.
 
 Host-side per-byte work for RDMA is zero (that is the whole point of
 RDMA); bytes reach the NIC via DMA through the host memory bus, which is
@@ -19,9 +20,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from ..sim.monitor import TimeWeighted
-from ..sim.resources import Resource
 from .bandwidth import BandwidthPipe
+from .service import ServicePool
 from .specs import NicSpec
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -49,20 +49,20 @@ class PhysicalNic:
         #: The DPDK poll-mode driver bound to this port, started by
         #: ``repro.transports.dpdk.DpdkEngine.on_host`` on first use.
         self.pmd = None
+        rate = self.spec.goodput_bytes
         self.egress = BandwidthPipe(
             env,
-            rate_bytes=self.spec.goodput_bytes,
+            rate_bytes=rate,
             chunk_bytes=self.spec.chunk_bytes,
             name=f"{name}.egress",
         )
         self.ingress = BandwidthPipe(
             env,
-            rate_bytes=self.spec.goodput_bytes,
+            rate_bytes=rate,
             chunk_bytes=self.spec.chunk_bytes,
             name=f"{name}.ingress",
         )
-        self._engine = Resource(env, capacity=1)
-        self.engine_busy = TimeWeighted(env)
+        self.engine = ServicePool(env)
 
     # -- capabilities -------------------------------------------------------
 
@@ -80,35 +80,21 @@ class PhysicalNic:
 
     # -- RDMA engine ----------------------------------------------------------
 
-    def engine_service(self, nbytes: float = 0.0, priority: int = 0):
-        """Occupy the NIC processor for one work request (generator).
-
-        Service time is the fixed per-op cost plus any modelled per-byte
-        engine work (zero for CX3-class offload).
-        """
-        seconds = self.spec.rdma_engine_op_seconds
-        if self.spec.rdma_engine_cycles_per_byte:
-            # Engine "cycles" are expressed directly in seconds/byte via
-            # the op clock; treat the constant as seconds per byte here.
-            seconds += nbytes * self.spec.rdma_engine_cycles_per_byte
-        with self._engine.request(priority=priority) as claim:
-            yield claim
-            self.engine_busy.add(1)
-            try:
-                yield self.env.timeout(seconds)
-            finally:
-                self.engine_busy.add(-1)
+    def engine_service(self):
+        """Occupy the NIC processor for one work request (generator): a
+        fixed per-op time, as CX3-class DMA engines move the bytes."""
+        yield from self.engine.serve(self.spec.rdma_engine_op_seconds)
 
     def engine_utilisation(self) -> float:
         """Mean busy fraction of the NIC processor (the paper's NIC CPU)."""
-        return self.engine_busy.mean()
+        return self.engine.utilisation()
 
     def link_utilisation(self) -> float:
         """Mean busy fraction of the egress wire."""
         return self.egress.utilisation()
 
     def reset_accounting(self) -> None:
-        self.engine_busy.reset()
+        self.engine.reset_accounting()
         self.egress.reset_accounting()
         self.ingress.reset_accounting()
 

@@ -105,8 +105,6 @@ class NicSpec:
     #: CX3 does ~35 M msg/s verbs rate for tiny messages; we model the
     #: engine as a per-work-request service time.
     rdma_engine_op_seconds: float = 0.15e-6
-    #: NIC-side per-byte processing for RDMA (DMA engines, not host CPU).
-    rdma_engine_cycles_per_byte: float = 0.0
     #: Host-CPU cost to post one work request / poll one completion.
     rdma_post_cycles: float = 450.0
     rdma_poll_cycles: float = 250.0
@@ -230,8 +228,6 @@ class DpdkSpec:
     cycles_per_byte: float = 0.30
     #: ~250 cycles/packet ≈ 9.6 Mpps/core, typical of a tuned PMD.
     per_packet_cycles: float = 250.0
-    #: A PMD thread spins on a dedicated core even when idle.
-    dedicated_cores: int = 1
     poll_latency_s: float = 0.5e-6
 
 
@@ -239,7 +235,6 @@ class DpdkSpec:
 class VmSpec:
     """Virtual machine overhead model (for deployment cases (c)/(d))."""
 
-    vcpus: int = 4
     #: Extra per-byte cost of the virtio/vswitch path.
     virtio_cycles_per_byte: float = 0.35
     virtio_per_segment_cycles: float = 3500.0

@@ -289,17 +289,16 @@ class FatTreeTopology:
 class _Transit:
     """One message crossing the tree: route + bookkeeping, mutable."""
 
-    __slots__ = ("src", "dst", "dst_edge", "wire_bytes", "priority",
-                 "deliver", "trace", "sent_at", "path", "hop",
-                 "flowlet_key", "seq", "ready_at")
+    __slots__ = ("src", "dst", "dst_edge", "wire_bytes", "deliver",
+                 "trace", "sent_at", "path", "hop", "flowlet_key", "seq",
+                 "ready_at")
 
-    def __init__(self, src, dst, dst_edge, wire_bytes, priority, deliver,
-                 trace, sent_at, route) -> None:
+    def __init__(self, src, dst, dst_edge, wire_bytes, deliver, trace,
+                 sent_at, route) -> None:
         self.src = src
         self.dst = dst
         self.dst_edge = dst_edge
         self.wire_bytes = wire_bytes
-        self.priority = priority
         self.deliver = deliver
         self.trace = trace
         self.sent_at = sent_at
@@ -422,7 +421,6 @@ class FatTreeFabric(Fabric):
         dst: "PhysicalNic",
         wire_bytes: float,
         deliver: Callable[[], None],
-        priority: int = 0,
         flow=None,
         trace=None,
     ):
@@ -438,13 +436,13 @@ class FatTreeFabric(Fabric):
         if src is dst:
             raise ValueError("use host-local channels for loopback traffic")
         sent_at = self.env.now
-        yield from src.egress.transfer(wire_bytes, priority=priority)
+        yield from src.egress.transfer(wire_bytes)
         route = self.selector.route(
             self.env.now, self.edge_of(src), self.edge_of(dst),
             self._flow_key(src, dst, flow),
         )
         transit = _Transit(src, dst, self.edge_of(dst), wire_bytes,
-                           priority, deliver, trace, sent_at, route)
+                           deliver, trace, sent_at, route)
         counter_inc("repro.fabric.messages")
         self._forward(transit)
 
@@ -461,8 +459,8 @@ class FatTreeFabric(Fabric):
             link.stage.put(transit, partial(self._link_worker, link))
             return
         self._arrive(transit.src, transit.dst, transit.wire_bytes,
-                     transit.priority, transit.deliver, transit.trace,
-                     transit.sent_at, (transit.flowlet_key, transit.seq))
+                     transit.deliver, transit.trace, transit.sent_at,
+                     (transit.flowlet_key, transit.seq))
 
     def _link_worker(self, link: FabricLink, transit: _Transit):
         """FIFO server for one directed link (store-and-forward)."""
@@ -476,8 +474,7 @@ class FatTreeFabric(Fabric):
                 wait = transit.ready_at - self.env.now
                 if wait > 0:
                     yield self.env.timeout(wait)
-                yield from link.pipe.transfer(transit.wire_bytes,
-                                              priority=transit.priority)
+                yield from link.pipe.transfer(transit.wire_bytes)
                 transit.hop += 1
                 self._forward(transit)
             transit = yield from link.stage.next()

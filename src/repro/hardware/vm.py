@@ -67,13 +67,13 @@ class VirtualMachine:
             + segments * self.spec.virtio_per_segment_cycles
         )
 
-    def virtio_tax(self, payload: int, segments: int, priority: int = 0):
+    def virtio_tax(self, payload: int, segments: int):
         """Pay the virtio path for one message (generator).
 
         Skipped entirely for SR-IOV traffic — callers check :attr:`sriov`.
         """
         yield from self.host.cpu.execute(
-            self.virtio_cost_cycles(payload, segments), priority=priority
+            self.virtio_cost_cycles(payload, segments)
         )
         yield self.env.timeout(self.spec.virtio_latency_s)
 

@@ -11,7 +11,6 @@ from .monitor import StreamingSeries, ThroughputTimeline, TimeWeighted
 from .process import Interrupt, Process, ProcessGen
 from .rand import RandomStream, StreamFactory
 from .resources import (
-    Release,
     Request,
     Resource,
     Store,
@@ -37,7 +36,6 @@ __all__ = [
     "Process",
     "ProcessGen",
     "RandomStream",
-    "Release",
     "Request",
     "Resource",
     "Stage",

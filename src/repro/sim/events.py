@@ -133,6 +133,14 @@ class Event:
         else:
             self._callbacks = [cbs, fn]
 
+    def _remove_callback(self, fn: Callable[["Event"], None]) -> None:
+        """Detach ``fn`` if it is registered (undoes :meth:`_add_callback`)."""
+        cbs = self._callbacks
+        if cbs is fn:
+            self._callbacks = NO_CALLBACKS
+        elif type(cbs) is list and fn in cbs:
+            cbs.remove(fn)
+
     @property
     def triggered(self) -> bool:
         """True once the event has a value and is scheduled."""

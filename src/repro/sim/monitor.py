@@ -5,8 +5,8 @@ One instrument per job:
 * :class:`TimeWeighted` — tracks a piecewise-constant value over time and
   reports its time-weighted mean.  This is how CPU utilisation is computed
   ("TCP/IP burns ~200% CPU" means the time-weighted busy-core count is ~2);
-  the CPU, the NIC engine and every bandwidth pipe update one directly on
-  each busy/idle edge.
+  :class:`repro.hardware.service.ServicePool`, behind the CPU, the NIC
+  engine and every bandwidth pipe, moves one on each busy/idle edge.
 * :class:`StreamingSeries` — the sample collector behind every latency
   distribution and registry histogram: exact count/sum/min/max plus a
   fixed-size uniform reservoir (Vitter's Algorithm R) for percentiles, so
@@ -44,8 +44,7 @@ class TimeWeighted:
 
     def __init__(self, env: "Environment", initial: float = 0.0) -> None:
         self.env = env
-        self._start = env.now
-        self._last_time = env.now
+        self._start = self._last_time = env.now
         self._value = float(initial)
         self._area = 0.0
 

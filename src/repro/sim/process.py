@@ -101,15 +101,8 @@ class Process(Event):
             raise RuntimeError(f"{self!r} has terminated and cannot be interrupted")
         target = self._target
         if target is not None:
-            cbs = target._callbacks
-            if cbs is self._resume:
-                target._callbacks = NO_CALLBACKS
-            elif type(cbs) is list:
-                try:
-                    cbs.remove(self._resume)
-                except ValueError:  # pragma: no cover - already detached
-                    pass
-            if cbs is not None and not target.triggered:
+            target._remove_callback(self._resume)
+            if not target.triggered:
                 # Withdraw pending claims (store gets, resource requests)
                 # so they cannot consume items nobody will receive.
                 target._abandon()

@@ -2,8 +2,8 @@
 
 Three families, mirroring the classic DES toolkit:
 
-* :class:`Resource` — ``capacity`` identical slots with a FIFO wait queue.
-  Used for CPU cores, NIC processing engines and the like.
+* :class:`Resource` — ``capacity`` identical slots granted in request
+  order.  Used for locks and (via ``repro.hardware.service``) hardware.
 * :class:`Store` — an unbounded-or-bounded queue of Python objects.  Used
   for packet queues, completion queues, mailbox-style channels.
 * :class:`Tank` — a continuous level (named to avoid clashing with the
@@ -11,7 +11,7 @@ Three families, mirroring the classic DES toolkit:
 
 Requests are events, so processes write::
 
-    with cpu.request() as req:
+    with lock.request() as req:
         yield req
         yield env.timeout(work_seconds)
 
@@ -41,7 +41,6 @@ deques: a wait queue almost never holds more than one waiter, so
 from __future__ import annotations
 
 from collections import deque
-from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from .events import Event
@@ -52,7 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "Resource",
     "Request",
-    "Release",
     "Store",
     "StorePut",
     "StoreGet",
@@ -72,8 +70,6 @@ __all__ = [
 #: request that leaves its resource, released or withdrawn, is reported
 #: as ``WAITS.release(resource, request)``.
 WAITS = None
-
-_priority = attrgetter("priority")
 
 #: The buffer or wait queue of a store or tank that has never held an
 #: item or a waiter.  Immutable, so sharing it is safe: whatever would
@@ -96,12 +92,11 @@ class Request(Event):
     slot (or cancels the claim if it never triggered).
     """
 
-    __slots__ = ("resource", "priority")
+    __slots__ = ("resource",)
 
-    def __init__(self, resource: "Resource", priority: int = 0) -> None:
+    def __init__(self, resource: "Resource") -> None:
         super().__init__(resource.env)
         self.resource = resource
-        self.priority = priority
         resource._add_request(self)
 
     def __enter__(self) -> "Request":
@@ -118,25 +113,8 @@ class Request(Event):
         self.cancel()
 
 
-class Release(Event):
-    """Event that triggers once a request's slot has been released."""
-
-    __slots__ = ("request",)
-
-    def __init__(self, resource: "Resource", request: Request) -> None:
-        super().__init__(resource.env)
-        self.request = request
-        resource._remove_request(request)
-        self.succeed()
-
-
 class Resource:
-    """``capacity`` interchangeable slots with FIFO (or priority) queuing.
-
-    ``priority`` on a request: lower value is served first; equal
-    priorities keep FIFO order.  The plain ``request()`` uses priority 0,
-    so a pure-FIFO resource just never passes the argument.
-    """
+    """``capacity`` interchangeable slots, granted in request order."""
 
     __slots__ = ("env", "_capacity", "users", "queue", "label")
 
@@ -165,16 +143,13 @@ class Resource:
         """Number of slots currently held."""
         return len(self.users)
 
-    def request(self, priority: int = 0) -> Request:
-        """Claim one slot; the returned event triggers when granted."""
-        request = Request(self, priority)
+    def request(self) -> Request:
+        """Claim one slot; the event triggers when granted, and its
+        ``cancel()`` (or leaving its ``with`` block) releases it."""
+        request = Request(self)
         if WAITS is not None:
             WAITS.request(self, request)
         return request
-
-    def release(self, request: Request) -> Release:
-        """Release a granted slot (also done by the ``with`` form)."""
-        return Release(self, request)
 
     # -- internals --------------------------------------------------------
 
@@ -193,9 +168,7 @@ class Resource:
 
     def _trigger(self) -> None:
         while self.queue and len(self.users) < self._capacity:
-            # min() returns the first minimal request: FIFO among equals.
-            request = min(self.queue, key=_priority)
-            self.queue.remove(request)
+            request = self.queue.pop(0)
             self.users.append(request)
             request.succeed()
 

@@ -388,8 +388,14 @@ class Environment:
                     self.step()
         except StopSimulation as stop:
             stop_event = stop.args[0]
+        except BaseException:
+            # A failed run's stop must not end a later run at the event.
+            if stop_event is not None:
+                stop_event._remove_callback(self._stop_on)
+            raise
         else:
             if stop_event is not None and not stop_event.processed:
+                stop_event._remove_callback(self._stop_on)
                 raise RuntimeError(
                     "simulation ran out of events before `until` event "
                     "triggered"

@@ -102,7 +102,7 @@ class RdmaLane(WindowedLane):
         while message is not None:
             trace = self._trace_of(message)
             mark = self.env.now
-            yield from nic.engine_service(message.size_bytes)
+            yield from nic.engine_service()
             yield self.env.timeout(nic.spec.dma_latency_s)
             if trace is not None:
                 trace.add("nic", mark, self.env.now)
@@ -159,7 +159,7 @@ class RdmaLane(WindowedLane):
         while message is not None:
             trace = self._trace_of(message)
             mark = self.env.now
-            yield from nic.engine_service(message.size_bytes)
+            yield from nic.engine_service()
             yield self.env.timeout(nic.spec.dma_latency_s)
             yield from self.dst_host.dma(message.size_bytes)
             if trace is not None:

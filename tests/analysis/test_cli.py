@@ -29,9 +29,9 @@ def test_lint_exits_zero_on_head():
 
 
 def test_head_baseline_is_small_and_justified():
-    """The baseline only carries the known append-only registries and the
-    MPI pump's deliberate per-message completion wait; every other
-    historical finding was fixed or pragma'd with a reason."""
+    """The baseline only carries the MPI pump's deliberate per-message
+    completion wait; every other historical finding was fixed or
+    pragma'd with a reason."""
     baseline = load_baseline(BASELINE)
     assert 0 < len(baseline) <= 10
     assert all(rule in ("SIM004", "SIM008") for rule, _, _ in baseline)
@@ -58,6 +58,30 @@ def test_new_finding_fails_and_write_baseline_accepts(tmp_path):
     # And --no-baseline surfaces everything again.
     assert cli.main([str(bad), "--baseline", str(baseline),
                      "--no-baseline"]) == 1
+
+
+def test_stale_baseline_entry_fails_until_the_baseline_shrinks(tmp_path):
+    fixed = tmp_path / "repro" / "fixed.py"
+    fixed.parent.mkdir()
+    fixed.write_text("def f(x):\n    assert x\n")
+    other = tmp_path / "repro" / "other.py"
+    other.write_text("X = 1\n")
+    baseline = tmp_path / "base.json"
+    gate = ["--baseline", str(baseline), "--fail-on-new"]
+    assert cli.main([str(fixed), "--baseline", str(baseline),
+                     "--write-baseline"]) == 0
+    assert cli.main([str(fixed), *gate]) == 0
+
+    # The finding is fixed: its entry matches nothing and fails the gate.
+    fixed.write_text("def f(x):\n    return x\n")
+    assert cli.main([str(fixed), *gate]) == 1
+    # An entry for a file that was not linted is not judged.
+    assert cli.main([str(other), *gate]) == 0
+    # Shrinking the baseline passes again.
+    assert cli.main([str(fixed), "--baseline", str(baseline),
+                     "--write-baseline"]) == 0
+    assert load_baseline(baseline) == set()
+    assert cli.main([str(fixed), *gate]) == 0
 
 
 def test_baseline_fingerprints_survive_line_drift(tmp_path):

@@ -173,7 +173,7 @@ def test_sim011_fires_on_bare_request_held_across_park():
                 req = self._lock.request()
                 yield req
                 item = yield self._inbox.get()
-                self._lock.release(req)
+                req.cancel()
                 return item
         """,
         rule="SIM011",
@@ -215,7 +215,7 @@ def test_sim011_silent_when_released_in_finally():
                 try:
                     item = yield self._inbox.get()
                 finally:
-                    self._lock.release(req)
+                    req.cancel()
                 return item
         """,
         rule="SIM011",

@@ -4,7 +4,6 @@ WatchBatch handling, batch rebinds, and precise-first resync."""
 import pytest
 
 from repro.core import FlowState
-from repro.core.flows import FlowReconciler
 from repro.transports import Mechanism
 
 
@@ -54,27 +53,6 @@ class TestCoalescedConsumption:
         assert b.state is FlowState.ACTIVE
         assert reconciled.rebinds == 2
         assert reconciled.reconciliations == 2
-
-    def test_per_event_mode_still_supported(self, env, cluster, network,
-                                            three_containers, runner):
-        """coalesce_s=None restores per-event delivery: same convergence,
-        one cycle per move."""
-        reconciler = FlowReconciler(network, coalesce_s=None).start()
-        calls = spy_batches(reconciler)
-
-        def go():
-            conn = yield from network.connect_containers("web", "cache")
-            cluster.relocate("cache", "h2")
-            network.orchestrator.refresh_location("cache")
-            cluster.relocate("db", "h1")
-            network.orchestrator.refresh_location("db")
-            yield from reconciler.wait_settled()
-            return conn
-
-        conn = runner(go())
-        assert calls == [["cache"], ["db"]]  # one cycle per delivery
-        assert conn.state is FlowState.ACTIVE
-        assert reconciler.rebinds == 1  # db had no flows to rebind
 
 
 class TestResync:

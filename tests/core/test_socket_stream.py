@@ -9,16 +9,21 @@ staged bytes, the credit window actually exhausting and recovering,
 table's BROKEN → REBINDING transplant conserving every in-ring byte.
 """
 
+import gc
+
 import pytest
 
 from repro import telemetry
+from repro.analysis import waitfor
 from repro.chaos import NicInjector
 from repro.cluster import ContainerSpec
 from repro.core import FlowState, SocketLayer
 from repro.core.sockets import (
     RING_BYTES,
     ZERO_COPY_THRESHOLD_BYTES,
+    FreeFlowSocket,
 )
+from repro.sim import Process
 from repro.transports import Mechanism
 
 
@@ -322,3 +327,47 @@ def test_two_orderly_shutdowns_release_the_flow_and_memory_regions(
     runner(abrupt())
     assert len(network.flows) == 1
     assert len(network.vnic("client")._mrs_by_rkey) == 4
+
+
+def test_a_released_connection_is_freed_without_the_collector(
+    env, layer, remote_pair, runner
+):
+    """Once both ends shut down, both sockets' flusher and dispatcher
+    and both queue pairs' vNIC engines end, so no process of the
+    connection stays parked and neither socket waits for the cyclic
+    collector.  An armed wait-for graph keeps the processes that held
+    credit in its tank ledgers, so it stays out of the count."""
+    client_c, server_c = remote_pair
+    listener = layer.listen(server_c, 7106)
+
+    def live(kind):
+        return sum(1 for obj in gc.get_objects() if isinstance(obj, kind))
+
+    def server():
+        sock = yield from listener.accept()
+        yield from sock.recv_exactly(500)
+        yield from sock.recv()  # EOF
+        yield from sock.shutdown()
+
+    def go():
+        for _ in range(50):
+            server_proc = env.process(server())
+            sock = layer.socket(client_c)
+            yield from sock.connect(server_c.ip, 7106)
+            yield from sock.send(500)
+            yield from sock.shutdown()
+            yield server_proc
+        yield env.timeout(0.01)  # the last FINs land
+
+    armed = waitfor.installed()
+    waitfor.uninstall()
+    gc.collect()
+    gc.disable()
+    try:
+        before = live(Process), live(FreeFlowSocket)
+        runner(go())
+        assert (live(Process), live(FreeFlowSocket)) == before
+    finally:
+        gc.enable()
+        if armed:
+            waitfor.install()

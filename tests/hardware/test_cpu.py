@@ -129,22 +129,3 @@ def test_reset_accounting(env, cpu):
     env.timeout(1)
     env.run()
     assert cpu.utilisation() == pytest.approx(0.0)
-
-
-def test_priority_preempts_queue_order(env):
-    cpu = CpuSet(env, CpuSpec(cores=1, frequency_hz=1e9))
-    order = []
-
-    def work(name, priority):
-        yield from cpu.execute(1e9, priority=priority)
-        order.append(name)
-
-    def submit():
-        env.process(work("holder", 0))
-        yield env.timeout(0.1)
-        env.process(work("low", 5))
-        env.process(work("high", -5))
-
-    env.process(submit())
-    env.run()
-    assert order == ["holder", "high", "low"]

@@ -25,7 +25,7 @@ def test_engine_service_takes_op_time(env, runner):
     nic = PhysicalNic(env)
 
     def op():
-        yield from nic.engine_service(0)
+        yield from nic.engine_service()
         return env.now
 
     assert runner(op()) == pytest.approx(nic.spec.rdma_engine_op_seconds)
@@ -36,7 +36,7 @@ def test_engine_serialises_ops(env):
     finished = []
 
     def op(name):
-        yield from nic.engine_service(0)
+        yield from nic.engine_service()
         finished.append((env.now, name))
 
     env.process(op("a"))
@@ -50,7 +50,7 @@ def test_engine_utilisation_tracked(env):
 
     def ops():
         for _ in range(10):
-            yield from nic.engine_service(0)
+            yield from nic.engine_service()
 
     done = env.process(ops())
     env.run(until=done)
@@ -184,7 +184,7 @@ def test_reset_accounting_clears_counters(env, fabric):
     host = Host(env, "h1", fabric=fabric)
 
     def work():
-        yield from host.execute(1e6)
+        yield from host.cpu.execute(1e6)
 
     env.process(work())
     env.run()

@@ -20,7 +20,7 @@ class TestResource:
         resource = Resource(env, capacity=1)
         first = resource.request()
         second = resource.request()
-        resource.release(first)
+        first.cancel()
         assert second.triggered
 
     def test_with_block_releases(self, env, runner):
@@ -38,6 +38,17 @@ class TestResource:
         env.run(until=done)
         assert order == [(0, "a"), (1, "b")]
 
+    def test_waiters_granted_in_request_order(self, env):
+        resource = Resource(env, capacity=1)
+        holder = resource.request()
+        waiters = [resource.request() for _ in range(4)]
+        granted = []
+        for _ in waiters:
+            holder.cancel()
+            (holder,) = resource.users
+            granted.append(holder)
+        assert granted == waiters
+
     def test_cancel_queued_request(self, env):
         resource = Resource(env, capacity=1)
         resource.request()
@@ -45,32 +56,11 @@ class TestResource:
         queued.cancel()
         assert queued not in resource.queue
 
-    def test_priority_order(self, env):
-        resource = Resource(env, capacity=1)
-        holder = resource.request()
-        low = resource.request(priority=5)
-        high = resource.request(priority=1)
-        resource.release(holder)
-        assert high.triggered
-        assert not low.triggered
-
-        # Three equal-priority waiters behind a higher-priority one (and
-        # ahead of nothing but `low`) are granted FIFO among themselves.
-        urgent = resource.request(priority=2)
-        ties = [resource.request(priority=3) for _ in range(3)]
-        granted = []
-        holder = high
-        for _ in range(5):
-            resource.release(holder)
-            (holder,) = resource.users
-            granted.append(holder)
-        assert granted == [urgent, *ties, low]
-
     def test_count_tracks_users(self, env):
         resource = Resource(env, capacity=3)
         requests = [resource.request() for _ in range(2)]
         assert resource.count == 2
-        resource.release(requests[0])
+        requests[0].cancel()
         assert resource.count == 1
 
 
@@ -264,7 +254,7 @@ class TestInterruptAbandonsClaims:
             yield env.timeout(1)
             victim.interrupt()
             yield env.timeout(1)
-            resource.release(holder)
+            holder.cancel()
 
         env.process(driver())
         env.run()

@@ -92,6 +92,41 @@ def test_run_until_event_that_never_fires(env):
         env.run(until=stuck)
 
 
+def _fire_at_one(env, event):
+    def fire():
+        yield env.timeout(1)
+        event.succeed("late")
+
+    env.process(fire())
+
+
+def test_run_until_event_that_runs_dry_leaves_no_stop_behind(env):
+    """A run whose ``until`` event never fired raises; a later run must
+    not stop where that event fires."""
+    stuck = env.event()
+    with pytest.raises(RuntimeError, match="ran out of events"):
+        env.run(until=stuck)
+    _fire_at_one(env, stuck)
+    assert env.run(until=10) is None
+    assert env.now == 10
+    assert stuck.processed and stuck.value == "late"
+
+
+def test_run_until_event_that_fails_midway_leaves_no_stop_behind(env):
+    stuck = env.event()
+
+    def failing():
+        yield env.timeout(0.5)
+        raise ValueError("boom")
+
+    env.process(failing())
+    with pytest.raises(ValueError, match="boom"):
+        env.run(until=stuck)
+    _fire_at_one(env, stuck)
+    assert env.run(until=10) is None
+    assert env.now == 10
+
+
 def test_negative_schedule_delay_rejected(env):
     event = env.event()
     with pytest.raises(ValueError):
