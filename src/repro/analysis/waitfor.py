@@ -31,7 +31,8 @@ call on every blocking operation, and the engine's observer tuple
   entries mean they hold credit.  The inverse operation repays the
   ledger head first (the FIFO matches the tank's own grant order), so
   at any instant the ledger names exactly who owes the bytes a parked
-  peer is waiting for.
+  peer is waiting for.  A ledger that settles is dropped, and ledgers
+  are keyed weakly, so a dropped tank takes its ledger with it.
 * **Idle report instead of a silent hang** — when ``run()`` returns
   with the event queues drained while processes are still parked, the
   full ownership chain (who waits on what, who holds it, how much) is
@@ -61,6 +62,7 @@ from __future__ import annotations
 
 from collections import deque
 from typing import Optional
+from weakref import WeakKeyDictionary
 
 from ..errors import DeadlockDetected
 from ..sim import resources, scheduler
@@ -89,10 +91,10 @@ class _Graph:
         self.waits: dict = {}
         #: Request -> owning process, while granted or queued.
         self.request_owner: dict = {}
-        #: Tank -> [sign, deque[(process, amount)]].  sign +1: the
-        #: entries hold occupancy (net puts); sign -1: they hold credit
-        #: (net gets); 0: settled.
-        self.ledgers: dict = {}
+        #: Tank -> [sign, deque[(process, amount)]], for tanks with an
+        #: outstanding amount.  sign +1: the entries hold occupancy (net
+        #: puts); sign -1: they hold credit (net gets).
+        self.ledgers: WeakKeyDictionary = WeakKeyDictionary()
         self.labels: dict = {}
         self.label_counts: dict = {}
         self.proc_names: dict = {}
@@ -239,12 +241,16 @@ def _proc_name(graph: _Graph, proc) -> str:
 
 
 def _record_wait(graph, proc, event, resource, kind, amount) -> None:
-    record = (event, resource, kind, amount)
-    graph.waits[proc] = record
+    graph.waits[proc] = (event, resource, kind, amount)
     _bump("parks")
 
-    def _purge(_event, graph=graph, proc=proc, record=record):
-        if graph.waits.get(proc) is record:
+    # Matched by the event it fires with, not by the record: a callback
+    # holding the record would hold its own event, and a wait abandoned
+    # by an interrupt would keep that pair, and the process, alive
+    # until the cyclic collector ran.
+    def _purge(fired, graph=graph, proc=proc):
+        wait = graph.waits.get(proc)
+        if wait is not None and wait[0] is fired:
             del graph.waits[proc]
 
     event._add_callback(_purge)
@@ -284,7 +290,7 @@ def _tank_account(graph, tank, proc, amount, sign) -> None:
 
     An op of the opposite sign repays the FIFO head first; any leftover
     flips the ledger's sign.  Amounts of zero settle nothing and are
-    dropped.
+    dropped, and so is a ledger once it settles.
     """
     _bump("tank_ops")
     if amount <= 0:
@@ -304,6 +310,9 @@ def _tank_account(graph, tank, proc, amount, sign) -> None:
                 entries.popleft()
                 remaining -= held
         if not entries:
+            if not remaining:
+                del graph.ledgers[tank]
+                return
             entry[0] = 0
     if remaining:
         entries.append((proc, remaining))

@@ -52,13 +52,26 @@ class Violation:
         return {"invariant": self.invariant, "detail": self.detail}
 
 
-def check_convergence(table: "FlowTable") -> list[Violation]:
-    """Every flow ends ACTIVE (CLOSED ones have left the table).
+def check_convergence(table: "FlowTable",
+                      log: "EventLog") -> list[Violation]:
+    """Every flow ends ACTIVE (CLOSED ones have left the table), and no
+    drain stalled on the way.
 
     A flow stuck BROKEN, REBINDING, PAUSED or RESOLVING after the
-    scenario's quiesce window means some repair path gave up or hung.
+    scenario's quiesce window means some repair path gave up or hung; a
+    ``flow.drain.stall`` event means a rebind waited on messages that
+    stopped moving, even if it got through in the end.
     """
-    violations = []
+    violations = [
+        Violation(
+            "convergence",
+            f"drain stalled at {event.time_s * 1e3:.3f} ms: "
+            f"{event.fields['in_flight']} message(s) in flight on "
+            f"{event.fields['flows']} flow(s) unchanged for "
+            f"{event.fields['polls']} polls",
+        )
+        for event in log.of_kind("flow.drain.stall")
+    ]
     for flow in table.open_flows():
         if flow.state is not FlowState.ACTIVE:
             violations.append(Violation(

@@ -25,7 +25,6 @@ from ..analysis import sanitizer as _sanitizer
 from ..analysis import waitfor as _waitfor
 from ..cluster import ClusterOrchestrator, ContainerSpec
 from ..core import FreeFlowNetwork
-from ..core.flows import FlowState
 from ..errors import FreeFlowError, SanitizerViolation
 from ..hardware import Fabric, Host
 from ..sim import Environment
@@ -246,16 +245,7 @@ class ChaosHarness:
         quiet = 0
         while quiet < 2 and self.env.now < deadline:
             yield self.env.timeout(reconciler.SETTLE_POLL_S)
-            if reconciler._busy or any(
-                watch.has_pending() for watch in reconciler._watches
-            ):
-                quiet = 0
-                continue
-            if any(flow.state is FlowState.REBINDING
-                   for flow in self.network.flows.open_flows()):
-                quiet = 0
-                continue
-            quiet += 1
+            quiet = quiet + 1 if reconciler.settled() else 0
 
 
 def run_scenario(scenario: Scenario, seed: int = 1) -> dict:
@@ -290,8 +280,8 @@ def run_scenario(scenario: Scenario, seed: int = 1) -> dict:
             if crashed is not None:
                 violations.append(Violation("runtime", crashed))
             else:
-                violations.extend(
-                    check_convergence(harness.network.flows))
+                violations.extend(check_convergence(
+                    harness.network.flows, handle.events))
                 violations.extend(check_conservation(
                     harness.counters, scenario.conservation))
                 violations.extend(check_repair_time(

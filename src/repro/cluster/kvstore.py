@@ -28,11 +28,12 @@ Datacenter-scale machinery (DESIGN.md §15):
   enables *precise* resync (``resync(since=revision)`` replays exactly
   the missed events, deletes included); :exc:`~repro.errors.CompactedRevision`
   signals the horizon passed and callers fall back to snapshot resync.
-* **Coalesced delivery** — ``watch(prefix, coalesce_s=...)`` buffers
-  events per key for a flush window and delivers one
-  :class:`WatchBatch`; multiple PUTs to one key collapse to the latest
-  (per-key ordering preserved — the TSoR lesson: batch everything that
-  crosses a layer boundary).
+* **Coalesced delivery** — a watch delivers one :class:`WatchBatch`
+  per simulated instant: the events of that instant, one per key (the
+  latest), in first-touch key order — the TSoR lesson: batch everything
+  that crosses a layer boundary.  Replays (``include_existing``,
+  :meth:`Watch.resync`) queue one single-event batch per event, so
+  every queue item is a :class:`WatchBatch`.
 """
 
 from __future__ import annotations
@@ -93,11 +94,10 @@ class WatchEvent:
 
 @dataclass(frozen=True)
 class WatchBatch:
-    """A coalesced delivery: at most one event per key, first-touch key
-    order, each event the *latest* for its key within the flush window.
-
-    Delivered as a single queue item by watches opened with
-    ``coalesce_s=...``; iterate it like a list of events.
+    """One watch delivery: at most one event per key, first-touch key
+    order, each event the *latest* for its key within its instant (a
+    replay holds exactly one event).  Every queue item of a
+    :class:`Watch` is one; iterate it like a list of events.
     """
 
     events: tuple[WatchEvent, ...]
@@ -154,30 +154,23 @@ class Lease(object):
 class Watch:
     """A live subscription to changes under a key prefix.
 
-    Iterate with ``event = yield watch.queue.get()`` inside a process,
-    or drain synchronously in tests with :meth:`pending`.  A watch
-    opened with ``coalesce_s`` receives :class:`WatchBatch` items
-    instead of single events.
+    Iterate with ``batch = yield watch.queue.get()`` inside a process
+    (every item is a :class:`WatchBatch`), or drain synchronously in
+    tests with :meth:`pending`.
     """
 
-    def __init__(
-        self,
-        store: "KeyValueStore",
-        prefix: str,
-        coalesce_s: Optional[float] = None,
-    ) -> None:
+    def __init__(self, store: "KeyValueStore", prefix: str) -> None:
         self._store = store
         self.prefix = prefix
         self.queue: Store = Store(store.env)
         self.cancelled = False
-        #: Flush window for coalesced delivery; None = deliver per event.
-        self.coalesce_s = coalesce_s
         #: Highest revision delivered (or buffered) to this watch; the
         #: ``since`` anchor for a precise :meth:`resync`.  A fresh watch
         #: anchors at the store's current revision: it has missed
         #: nothing that happened before it existed.
         self.last_revision = store.revision
-        #: Coalescing buffer: key -> latest event, first-touch order.
+        #: This instant's deliveries: key -> latest event, first-touch
+        #: order.
         self._buffer: dict[str, WatchEvent] = {}
 
     def has_pending(self) -> bool:
@@ -187,18 +180,11 @@ class Watch:
     def pending(self) -> list[WatchEvent]:
         """Non-blocking drain of already-delivered events.
 
-        Flushes the coalescing buffer first and flattens batches, so a
-        synchronous consumer sees every event known at call time.
+        Flushes this instant's buffer first and flattens the batches, so
+        a synchronous consumer sees every event known at call time.
         """
-        if self._buffer:
-            self._flush()
-        events: list[WatchEvent] = []
-        for item in self.queue.drain():
-            if type(item) is WatchBatch:
-                events.extend(item.events)
-            else:
-                events.append(item)
-        return events
+        self._flush(None)
+        return [event for batch in self.queue.drain() for event in batch]
 
     def cancel(self) -> None:
         self.cancelled = True
@@ -236,12 +222,12 @@ class Watch:
 
     # -- internals ------------------------------------------------------------
 
-    def _flush(self) -> None:
-        """Deliver the coalescing buffer as one :class:`WatchBatch`."""
+    def _flush(self, _event: object) -> None:
+        """Deliver this instant's buffer as one :class:`WatchBatch` (the
+        callback of the instant's flush timer).  A cancelled watch has
+        none: :meth:`cancel` clears it and the store delivers nothing
+        more."""
         if not self._buffer:
-            return
-        if self.cancelled:
-            self._buffer.clear()
             return
         batch = WatchBatch(tuple(self._buffer.values()))
         self._buffer.clear()
@@ -357,39 +343,22 @@ class KeyValueStore:
         for key in self.keys(prefix):
             yield key, self._data[key]
 
-    def watch(
-        self,
-        prefix: str = "",
-        include_existing: bool = False,
-        coalesce_s: Optional[float] = None,
-        start_revision: Optional[int] = None,
-    ) -> Watch:
+    def watch(self, prefix: str = "",
+              include_existing: bool = False) -> Watch:
         """Subscribe to future changes under ``prefix``.
+
+        Deliveries arrive as :class:`WatchBatch` items, one per simulated
+        instant that changed a key under the prefix: one event per key
+        (the latest), first-touch key order.
 
         With ``include_existing=True`` the current state under the prefix
         is replayed into the queue first, as synthetic PUT events at the
         store's current revision — an etcd-style "watch from revision 0".
         Reconcilers use this so a late subscriber still sees every key it
         is responsible for, through the same queue as live changes.
-
-        With ``start_revision=r`` the retained history from revision
-        ``r`` onward is replayed first (DELETEs included); raises
-        :exc:`~repro.errors.CompactedRevision` if ``r`` predates the
-        compaction horizon.
-
-        With ``coalesce_s=w`` deliveries are buffered for a ``w``-second
-        flush window and arrive as :class:`WatchBatch` items: one event
-        per key (the latest), first-touch key order.
         """
-        if coalesce_s is not None and coalesce_s < 0:
-            raise ValueError(f"negative coalesce window {coalesce_s}")
-        watch = Watch(self, prefix, coalesce_s)
+        watch = Watch(self, prefix)
         self._index_watch(watch)
-        if start_revision is not None:
-            # Anchor before the replay so a precise resync later picks
-            # up from here even when no retained event matched.
-            watch.last_revision = start_revision - 1
-            self.replay_history(watch, start_revision - 1)
         if include_existing:
             self.resync(watch)
         return watch
@@ -472,13 +441,13 @@ class KeyValueStore:
             self.compacted_revision = revision
 
     def resync(self, watch: Watch) -> int:
-        """Queue a snapshot of ``watch``'s prefix as synthetic PUTs
-        (see :meth:`Watch.resync`)."""
+        """Queue a snapshot of ``watch``'s prefix as synthetic PUTs, one
+        single-event batch each (see :meth:`Watch.resync`)."""
         count = 0
         for key in self.keys(watch.prefix):
-            watch.queue.put(
-                WatchEvent("put", key, self._data[key], self.revision)
-            )
+            watch.queue.put(WatchBatch((
+                WatchEvent("put", key, self._data[key], self.revision),
+            )))
             count += 1
         if self.revision > watch.last_revision:
             watch.last_revision = self.revision
@@ -486,7 +455,9 @@ class KeyValueStore:
 
     def replay_history(self, watch: Watch, since: int) -> int:
         """Queue the retained events after revision ``since`` under
-        ``watch``'s prefix — the precise resync path (DELETEs replay).
+        ``watch``'s prefix, one single-event batch each — the precise
+        resync path (DELETEs replay).  A replay is never merged: a
+        DELETE and a later PUT of one key stay two deliveries.
 
         Raises :exc:`~repro.errors.CompactedRevision` when ``since``
         predates the compaction horizon.
@@ -500,7 +471,7 @@ class KeyValueStore:
         count = 0
         for event in self._history:
             if event.revision > since and event.key.startswith(prefix):
-                watch.queue.put(event)
+                watch.queue.put(WatchBatch((event,)))
                 if event.revision > watch.last_revision:
                     watch.last_revision = event.revision
                 count += 1
@@ -555,16 +526,12 @@ class KeyValueStore:
     def _deliver(self, watch: Watch, event: WatchEvent) -> None:
         if event.revision > watch.last_revision:
             watch.last_revision = event.revision
-        if watch.coalesce_s is None:
-            watch.queue.put(event)
-            return
         buffer = watch._buffer
         if not buffer:
-            # First event of a window: arm one flush timer.  The dict
-            # replace below keeps first-touch key order while the value
-            # collapses to the latest event for that key.
-            timer = Timeout(self.env, watch.coalesce_s)
-            timer._add_callback(lambda _e, w=watch: w._flush())
+            # First event of this instant: arm one flush for its end.
+            # The dict replace below keeps first-touch key order while
+            # the value collapses to the latest event for that key.
+            Timeout(self.env, 0.0)._add_callback(watch._flush)
         buffer[event.key] = event
 
     # trie maintenance ---------------------------------------------------------

@@ -149,23 +149,7 @@ class ClusterOrchestrator:
         self._by_host[host.name] = {}
         self._up_cache = None
         self._reindex(host.name, rack)
-        record = {
-            "cores": host.cpu.cores,
-            "rdma": host.rdma_capable,
-            "dpdk": host.dpdk_capable,
-            "rack": rack,
-        }
-        if self.host_lease_ttl_s is not None:
-            lease = self.kv.grant(
-                self.host_lease_ttl_s,
-                on_expire=lambda _l, name=host.name: self._host_lease_expired(name),
-            )
-            self._host_leases[host.name] = lease
-            self.kv.put(f"/cluster/hosts/{host.name}", record, lease=lease)
-            if self._keepalive_proc is None:
-                self._keepalive_proc = self.env.process(self._keepalive_pump())
-        else:
-            self.kv.put(f"/cluster/hosts/{host.name}", record)
+        self._announce(host, rack)
         registry = _registry.ACTIVE
         if registry is not None:
             registry.register_host(host)
@@ -430,25 +414,30 @@ class ClusterOrchestrator:
         rack = self._rack_of.get(host_name, DEFAULT_RACK)
         self._racks.setdefault(rack, {})[host_name] = host
         self._reindex(host_name, rack)
+        self._silenced.discard(host_name)
+        self._announce(host, rack)
+        _events.emit(self.env, "host.recover", host=host_name)
+
+    def _announce(self, host: Host, rack: str) -> None:
+        """Publish ``host`` under ``/cluster/hosts/``: on a lease-backed
+        fleet, under a fresh lease the keepalive pump refreshes."""
         record = {
             "cores": host.cpu.cores,
             "rdma": host.rdma_capable,
             "dpdk": host.dpdk_capable,
             "rack": rack,
         }
-        if self.host_lease_ttl_s is not None:
-            lease = self.kv.grant(
-                self.host_lease_ttl_s,
-                on_expire=lambda _l, name=host_name: self._host_lease_expired(name),
-            )
-            self._host_leases[host_name] = lease
-            self._silenced.discard(host_name)
-            self.kv.put(f"/cluster/hosts/{host.name}", record, lease=lease)
-            if self._keepalive_proc is None:
-                self._keepalive_proc = self.env.process(self._keepalive_pump())
-        else:
+        if self.host_lease_ttl_s is None:
             self.kv.put(f"/cluster/hosts/{host.name}", record)
-        _events.emit(self.env, "host.recover", host=host_name)
+            return
+        lease = self.kv.grant(
+            self.host_lease_ttl_s,
+            on_expire=lambda _l, name=host.name: self._host_lease_expired(name),
+        )
+        self._host_leases[host.name] = lease
+        self.kv.put(f"/cluster/hosts/{host.name}", record, lease=lease)
+        if self._keepalive_proc is None:
+            self._keepalive_proc = self.env.process(self._keepalive_pump())
 
     # -- lease keepalive -------------------------------------------------------
 
@@ -478,12 +467,12 @@ class ClusterOrchestrator:
     def host_lease(self, host_name: str) -> Optional[Lease]:
         return self._host_leases.get(host_name)
 
-    def watch_hosts(self, coalesce_s: Optional[float] = None):
+    def watch_hosts(self):
         """Watch host liveness: a DELETE under ``/cluster/hosts/`` is a
         host failure, a PUT is an admission or recovery.  This is the
         feed the flow reconciler subscribes to (paper §2.1's
         failure-mitigation story, made push-style)."""
-        return self.kv.watch("/cluster/hosts/", coalesce_s=coalesce_s)
+        return self.kv.watch("/cluster/hosts/")
 
     def is_host_up(self, host_name: str) -> bool:
         return host_name in self._hosts and host_name not in self._down_hosts

@@ -34,7 +34,6 @@ import enum
 import itertools
 from typing import TYPE_CHECKING, Optional
 
-from ..cluster.kvstore import WatchBatch
 from ..errors import (
     CompactedRevision,
     ConnectionReset,
@@ -47,6 +46,7 @@ from ..sim.backoff import Backoff
 from ..sim.rand import RandomStream
 from ..telemetry import events as _events
 from ..telemetry import flowrecords as _flowrecords
+from ..telemetry import registry as _registry
 from ..transports.base import DuplexChannel, Mechanism
 from .agent import build_channel
 
@@ -107,17 +107,6 @@ def label_channel(flow: "FlowConnection", channel: DuplexChannel) -> None:
     channel.lane_ba.flow = flow.flow_id
 
 
-def _check_transition(flow: "FlowConnection",
-                      new_state: FlowState) -> FlowState:
-    old = flow._state
-    if new_state not in _LEGAL[old]:
-        raise FlowStateError(
-            f"flow {flow.flow_id}: illegal transition "
-            f"{old.value} -> {new_state.value}"
-        )
-    return old
-
-
 class ConnectionEnd:
     """Migration-stable endpoint facade over a :class:`FlowConnection`.
 
@@ -168,41 +157,28 @@ class FlowConnection:
 
     Tracking flows centrally — with an explicit state machine — is what
     lets migration, failure handling and the reconciler rebind them when
-    an endpoint moves (paper §7, "Live migration").  All state changes
-    go through the owning :class:`FlowTable`; direct construction (for
-    tests) yields a standalone flow whose transitions are still guarded
-    but not logged.  :attr:`state` is read-only: assigning it raises
-    ``AttributeError`` (rule SIM006 is the static twin).
+    an endpoint moves (paper §7, "Live migration").  A flow is built by
+    :meth:`FlowTable.open`, starts RESOLVING, and every state change
+    goes through that table.  :attr:`state` is read-only: assigning it
+    raises ``AttributeError`` (rule SIM006 is the static twin).
     """
 
     __slots__ = ("src_name", "dst_name", "channel", "decision", "qp_a",
                  "qp_b", "generation", "flow_id", "table", "_state",
                  "_paused", "_resume_event", "__weakref__")
 
-    def __init__(
-        self,
-        src_name: str,
-        dst_name: str,
-        channel: Optional[DuplexChannel],
-        decision: Optional["PolicyDecision"],
-        qp_a: Optional["QueuePair"] = None,
-        qp_b: Optional["QueuePair"] = None,
-        generation: int = 1,
-        flow_id: Optional[str] = None,
-        table: Optional["FlowTable"] = None,
-    ) -> None:
+    def __init__(self, src_name: str, dst_name: str, flow_id: str,
+                 table: "FlowTable") -> None:
         self.src_name = src_name
         self.dst_name = dst_name
-        self.channel = channel
-        self.decision = decision
-        self.qp_a = qp_a
-        self.qp_b = qp_b
-        self.generation = generation
-        self.flow_id = flow_id or f"{src_name}->{dst_name}"
+        self.channel: Optional[DuplexChannel] = None
+        self.decision: Optional["PolicyDecision"] = None
+        self.qp_a: Optional["QueuePair"] = None
+        self.qp_b: Optional["QueuePair"] = None
+        self.generation = 1
+        self.flow_id = flow_id
         self.table = table
-        self._state = (
-            FlowState.ACTIVE if channel is not None else FlowState.RESOLVING
-        )
+        self._state = FlowState.RESOLVING
         self._paused = False
         self._resume_event = None
 
@@ -212,8 +188,7 @@ class FlowConnection:
 
     @property
     def state(self) -> FlowState:
-        """Lifecycle state, written only by :meth:`_transition` and
-        :meth:`FlowTable.transition`."""
+        """Lifecycle state, written only by :meth:`FlowTable.transition`."""
         return self._state
 
     @property
@@ -239,20 +214,13 @@ class FlowConnection:
         """Backward-compatible view: ``True`` while the flow is BROKEN."""
         return self.state is FlowState.BROKEN
 
-    def _transition(self, new_state: FlowState, reason: str) -> None:
-        if self.table is not None:
-            self.table.transition(self, new_state, reason=reason)
-        else:
-            _check_transition(self, new_state)
-            self._state = new_state
-
     def pause(self, env) -> None:
         """Stop admitting new sends at the facade (migration)."""
         if not self._paused:
             self._paused = True
             self._resume_event = env.event()
             if self.state is FlowState.ACTIVE:
-                self._transition(FlowState.PAUSED, "pause")
+                self.table.transition(self, FlowState.PAUSED, reason="pause")
 
     def resume(self) -> None:
         if self._paused:
@@ -261,7 +229,8 @@ class FlowConnection:
             if event is not None:
                 event.succeed()
             if self.state is FlowState.PAUSED:
-                self._transition(FlowState.ACTIVE, "resume")
+                self.table.transition(self, FlowState.ACTIVE,
+                                      reason="resume")
 
     def wait_if_paused(self):
         """Generator: park until :meth:`resume` (no-op when running)."""
@@ -272,15 +241,6 @@ class FlowConnection:
         """Messages accepted but not yet delivered, both directions."""
         channel = self.channel
         return channel.lane_ab.in_flight() + channel.lane_ba.in_flight()
-
-    def close(self, reason: str = "close") -> None:
-        """Terminal transition (via the table when owned by one)."""
-        if self.table is not None:
-            self.table.close(self, reason=reason)
-        elif self.state is not FlowState.CLOSED:
-            self._transition(FlowState.CLOSED, reason)
-            if self.channel is not None:
-                self.channel.close()
 
 
 class FlowTable:
@@ -339,8 +299,7 @@ class FlowTable:
         """Create a flow in RESOLVING (no channel yet)."""
         self.opened_total += 1
         flow_id = f"f{next(self._seq)}:{src_name}->{dst_name}"
-        flow = FlowConnection(src_name, dst_name, None, None,
-                              flow_id=flow_id, table=self)
+        flow = FlowConnection(src_name, dst_name, flow_id, self)
         self._flows[flow_id] = flow
         for name in {src_name, dst_name}:
             self._by_endpoint.setdefault(name, []).append(flow_id)
@@ -363,7 +322,12 @@ class FlowTable:
     def transition(self, flow: FlowConnection, new_state: FlowState,
                    reason: str = "") -> FlowConnection:
         """The single gate every state change passes through."""
-        old = _check_transition(flow, new_state)
+        old = flow._state
+        if new_state not in _LEGAL[old]:
+            raise FlowStateError(
+                f"flow {flow.flow_id}: illegal transition "
+                f"{old.value} -> {new_state.value}"
+            )
         flow._state = new_state
         self.transitions += 1
         recorder = _flowrecords.ACTIVE
@@ -438,15 +402,16 @@ class ChannelFactory:
             channel = wrap_channel(
                 channel, network.middlebox, src_host, dst_host
             )
-        bucket_ab = network._tenant_bucket(src.tenant)
-        bucket_ba = network._tenant_bucket(dst.tenant)
-        if bucket_ab is not None or bucket_ba is not None:
-            from .ratelimit import RateLimitedLane
+        if network.tenant_rate_limits:
+            bucket_ab = network._tenant_bucket(src.tenant)
+            bucket_ba = network._tenant_bucket(dst.tenant)
+            if bucket_ab is not None or bucket_ba is not None:
+                from .ratelimit import RateLimitedLane
 
-            channel.set_lanes(*(
-                lane if bucket is None else RateLimitedLane(lane, bucket)
-                for lane, bucket in ((channel.lane_ab, bucket_ab),
-                                     (channel.lane_ba, bucket_ba))))
+                channel.set_lanes(*(
+                    lane if bucket is None else RateLimitedLane(lane, bucket)
+                    for lane, bucket in ((channel.lane_ab, bucket_ab),
+                                         (channel.lane_ba, bucket_ba))))
         self.built += 1
         return channel
 
@@ -513,19 +478,24 @@ class FlowReconciler:
       capability change re-decides every flow touching the host and
       rebinds only those whose mechanism actually changed.
 
-    The primitives (``reconcile_container``, ``host_failed``,
+    Each watch has its own :meth:`_pump` process, so a host failure
+    never waits behind a running rebind.  A watch delivers one
+    :class:`~repro.cluster.kvstore.WatchBatch` per instant (a lease-expiry
+    cascade or a rack of host DELETEs is one batch), and its handler
+    converges the whole batch at once.
+
+    The primitives (``reconcile_containers``, ``host_failed``,
     ``repair_flow`` …) are also directly callable, so the migration
     controller and ``FreeFlowNetwork``'s failure API share one
     implementation whether or not the watch pumps are running.
     """
 
     DRAIN_POLL_S = 100e-6
+    #: Polls with messages in flight and no change in their count after
+    #: which :meth:`drain` reports a stall: 100 ms of sim time, far above
+    #: the longest such run any workload shows (under 10 ms).
+    DRAIN_STALL_POLLS = 1000
     SETTLE_POLL_S = 100e-6
-    #: Flush window of the three watches.  0.0 still batches: every
-    #: delivery in the same simulated instant (a lease-expiry cascade, a
-    #: rack of host DELETEs) coalesces into one WatchBatch, with no added
-    #: latency for the solitary-event case.
-    COALESCE_S = 0.0
 
     def __init__(self, network: "FreeFlowNetwork",
                  backoff: Optional[Backoff] = None) -> None:
@@ -556,24 +526,21 @@ class FlowReconciler:
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> "FlowReconciler":
-        """Subscribe the three watches and start their pump processes."""
+        """Subscribe the three watches and start one pump per watch."""
         if self.running:
             return self
         self.running = True
         orchestrator = self.network.orchestrator
-        containers = orchestrator.kv.watch(
-            "/network/containers/", include_existing=True,
-            coalesce_s=self.COALESCE_S,
-        )
-        hosts = self.network.cluster.watch_hosts(coalesce_s=self.COALESCE_S)
-        capabilities = orchestrator.watch_capabilities(
-            coalesce_s=self.COALESCE_S
-        )
+        containers = orchestrator.kv.watch("/network/containers/",
+                                           include_existing=True)
+        hosts = self.network.cluster.watch_hosts()
+        capabilities = orchestrator.watch_capabilities()
         self._watches = [containers, hosts, capabilities]
+        process = self.env.process
         self._procs = [
-            self.env.process(self._container_pump(containers)),
-            self.env.process(self._host_pump(hosts)),
-            self.env.process(self._capability_pump(capabilities)),
+            process(self._pump(containers, self._containers_changed)),
+            process(self._pump(hosts, self._hosts_changed)),
+            process(self._pump(capabilities, self._capabilities_changed)),
         ]
         _events.emit(self.env, "reconciler.start")
         return self
@@ -641,86 +608,67 @@ class FlowReconciler:
 
     # -- watch pumps ---------------------------------------------------------
 
-    @staticmethod
-    def _events_of(item) -> tuple:
-        """Normalize a queue item: coalesced batch or single event.  A
-        coalescing watch still gets single events from ``resync`` and
-        history replay."""
-        if type(item) is WatchBatch:
-            return item.events
-        return (item,)
-
-    def _container_pump(self, watch):
+    def _pump(self, watch, handle):
+        """The one watch loop: hand each delivered batch's events to the
+        generator function ``handle``, marked busy while it runs."""
         while True:
-            item = yield watch.queue.get()
+            batch = yield watch.queue.get()
             if not self.running:
                 return
             self._busy += 1
             try:
-                arrived: list[str] = []
-                moved: list[str] = []
-                for event in self._events_of(item):
-                    name = event.key.rsplit("/", 1)[-1]
-                    if event.kind == "delete":
-                        self._locations.pop(name, None)
-                        continue
-                    placement = (event.value.get("host"),
-                                 event.value.get("generation"))
-                    previous = self._locations.get(name)
-                    self._locations[name] = placement
-                    if previous is None:
-                        # New (or replayed) endpoint: may unblock repairs.
-                        arrived.append(name)
-                    elif previous != placement:
-                        moved.append(name)
-                for name in arrived:
-                    yield from self._repair_pass(name)
-                if moved:
-                    self.reconciliations += len(moved)
-                    yield from self.reconcile_containers(moved)
+                yield from handle(batch.events)
             finally:
                 self._busy -= 1
 
-    def _host_pump(self, watch):
-        while True:
-            item = yield watch.queue.get()
-            if not self.running:
-                return
-            self._busy += 1
-            try:
-                recheck: list[str] = []
-                for event in self._events_of(item):
-                    host_name = event.key.rsplit("/", 1)[-1]
-                    if event.kind == "delete":
-                        # Failure (explicit or lease expiry): synchronous,
-                        # so a whole-rack batch breaks every lost flow
-                        # before any rebind work starts.
-                        self.host_failed(host_name)
-                    elif host_name not in recheck:
-                        # Admission or recovery: capabilities may differ
-                        # from what flows were decided with.
-                        recheck.append(host_name)
-                for host_name in recheck:
-                    yield from self.reconcile_capability(host_name)
-            finally:
-                self._busy -= 1
+    def _containers_changed(self, events):
+        """Generator: placements changed.  A first sighting of a name
+        runs a repair pass; a changed placement converges its flows."""
+        arrived: list[str] = []
+        moved: list[str] = []
+        for event in events:
+            name = event.key.rsplit("/", 1)[-1]
+            if event.kind == "delete":
+                self._locations.pop(name, None)
+                continue
+            placement = (event.value.get("host"),
+                         event.value.get("generation"))
+            previous = self._locations.get(name)
+            self._locations[name] = placement
+            if previous is None:
+                # New (or replayed) endpoint: may unblock repairs.
+                arrived.append(name)
+            elif previous != placement:
+                moved.append(name)
+        for name in arrived:
+            yield from self._repair_pass(name)
+        if moved:
+            self.reconciliations += len(moved)
+            yield from self.reconcile_containers(moved)
 
-    def _capability_pump(self, watch):
-        while True:
-            item = yield watch.queue.get()
-            if not self.running:
-                return
-            self._busy += 1
-            try:
-                recheck: list[str] = []
-                for event in self._events_of(item):
-                    host_name = event.key.rsplit("/", 1)[-1]
-                    if host_name not in recheck:
-                        recheck.append(host_name)
-                for host_name in recheck:
-                    yield from self.reconcile_capability(host_name)
-            finally:
-                self._busy -= 1
+    def _hosts_changed(self, events):
+        """Generator: host liveness changed.  A batch holds each host
+        once."""
+        recheck: list[str] = []
+        for event in events:
+            host_name = event.key.rsplit("/", 1)[-1]
+            if event.kind == "delete":
+                # Failure (explicit or lease expiry): synchronous, so a
+                # whole-rack batch breaks every lost flow before any
+                # rebind work starts.
+                self.host_failed(host_name)
+            else:
+                # Admission or recovery: capabilities may differ from
+                # what flows were decided with.
+                recheck.append(host_name)
+        for host_name in recheck:
+            yield from self.reconcile_capability(host_name)
+
+    def _capabilities_changed(self, events):
+        """Generator: NIC capabilities changed (each host once)."""
+        for event in events:
+            yield from self.reconcile_capability(
+                event.key.rsplit("/", 1)[-1])
 
     # -- primitives ----------------------------------------------------------
 
@@ -728,17 +676,31 @@ class FlowReconciler:
         """Generator: wait until ``flows`` have no in-flight messages.
 
         Two consecutive quiet polls — a send that had passed the pause
-        gate may still be mid-pipeline on the first quiet sample.
+        gate may still be mid-pipeline on the first quiet sample.  A
+        drain whose in-flight count stays above zero and unchanged for
+        :attr:`DRAIN_STALL_POLLS` polls reports a stall, once per call
+        (a ``flow.drain.stall`` event and the
+        ``repro.flows.drain_stalls`` counter), and keeps polling: a
+        stalled drain shows up as a report instead of only as a hang.
         """
-        quiet = 0
+        quiet = unchanged = last = 0
+        stalled = False
         while quiet < 2:
-            live = [f for f in flows
-                    if f.channel is not None
-                    and f.state is not FlowState.CLOSED]
-            if any(f.in_flight() > 0 for f in live):
-                quiet = 0
-            else:
+            in_flight = sum(f.in_flight() for f in flows
+                            if f.channel is not None
+                            and f.state is not FlowState.CLOSED)
+            if not in_flight:
                 quiet += 1
+            else:
+                quiet = 0
+                unchanged = unchanged + 1 if in_flight == last else 0
+                if unchanged >= self.DRAIN_STALL_POLLS and not stalled:
+                    stalled = True
+                    _events.emit(self.env, "flow.drain.stall",
+                                 flows=len(flows), in_flight=in_flight,
+                                 polls=unchanged)
+                    _registry.counter_inc("repro.flows.drain_stalls")
+            last = in_flight
             yield self.env.timeout(self.DRAIN_POLL_S)
 
     def _rebind_with_retry(self, flow: FlowConnection, reraise: bool = False):
@@ -776,25 +738,40 @@ class FlowReconciler:
                 yield self.env.timeout(self.backoff.delay(attempt))
                 attempt += 1
 
-    def reconcile_container(self, name: str):
-        """Generator: an endpoint moved — converge its flows.
+    def _converge(self, flows):
+        """Generator: the one pause → drain → rebind → resume cycle.
 
-        Singleton form of :meth:`reconcile_containers`; kept as the
-        direct API the migration controller calls.
+        Pauses the flows not already paused, drains them all, rebinds
+        each with retry and resumes the ones it paused — flows their
+        caller paused stay paused (the migration controller owns its
+        downtime window).  Returns ``[(flow, old, new)]`` mechanisms for
+        every rebind.
         """
-        changes = yield from self.reconcile_containers((name,))
-        return changes
+        if not flows:
+            return []
+        paused_by_me = [flow for flow in flows if not flow.paused]
+        for flow in paused_by_me:
+            flow.pause(self.env)
+        yield from self.drain(flows)
+        rebinds: list = []
+        for flow in flows:
+            old = flow.mechanism
+            decision = yield from self._rebind_with_retry(flow)
+            if decision is None:
+                continue
+            self.rebinds += 1
+            rebinds.append((flow, old, decision.mechanism))
+        for flow in paused_by_me:
+            flow.resume()
+        return rebinds
 
     def reconcile_containers(self, names):
         """Generator: a batch of endpoints moved — converge their flows.
 
-        Pauses (if not already paused), drains, rebinds and resumes
-        every ACTIVE/PAUSED flow touching any of ``names`` — one
-        pause → drain → rebind → resume cycle for the whole batch, so a
-        coalesced watch delivery costs one drain wait instead of one per
-        event.  Flows the caller paused stay paused (the migration
-        controller owns its downtime window).  Returns
-        ``[(flow, old, new)]`` mechanism changes.
+        One :meth:`_converge` cycle over every ACTIVE/PAUSED flow
+        touching any of ``names``, so a watch batch costs one drain wait
+        instead of one per event.  Returns ``[(flow, old, new)]`` for
+        the rebinds that changed mechanism.
         """
         network = self.network
         affected: list = []
@@ -807,39 +784,22 @@ class FlowReconciler:
                 seen.add(id(flow))
                 if flow.state in (FlowState.ACTIVE, FlowState.PAUSED):
                     affected.append(flow)
-        changes: list = []
-        if not affected:
-            return changes
-        paused_by_me = [flow for flow in affected if not flow.paused]
-        for flow in paused_by_me:
-            flow.pause(self.env)
-        yield from self.drain(affected)
-        for flow in affected:
-            old = flow.mechanism
-            decision = yield from self._rebind_with_retry(flow)
-            if decision is None:
-                continue
-            self.rebinds += 1
-            if decision.mechanism is not old:
-                changes.append((flow, old, decision.mechanism))
-        for flow in paused_by_me:
-            flow.resume()
-        return changes
+        rebinds = yield from self._converge(affected)
+        return [change for change in rebinds if change[2] is not change[1]]
 
     def reconcile_capability(self, host_name: str):
         """Generator: a host's registry capabilities changed.
 
         Re-decides every ACTIVE/PAUSED flow with an endpoint on the
         host; only flows whose fresh decision picks a *different*
-        mechanism are paused/drained/rebound — e.g. disabling RDMA moves
-        inter-host RDMA flows to kernel TCP while co-located shm pairs
-        stay untouched.  Returns ``[(flow, old, new)]``.
+        mechanism go through :meth:`_converge` — e.g. disabling RDMA
+        moves inter-host RDMA flows to kernel TCP while co-located shm
+        pairs stay untouched.  Returns ``[(flow, old, new)]``.
         """
         self.capability_rechecks += 1
         network = self.network
         orchestrator = network.orchestrator
         stale: list = []
-        fresh_by_id: dict[int, object] = {}
         for flow in self.table.open_flows():
             if flow.state not in (FlowState.ACTIVE, FlowState.PAUSED):
                 continue
@@ -857,24 +817,8 @@ class FlowReconciler:
             fresh = orchestrator.decide(flow.src_name, flow.dst_name)
             if fresh.mechanism is not flow.mechanism:
                 stale.append(flow)
-                fresh_by_id[id(flow)] = fresh.mechanism
-        changes: list = []
-        if not stale:
-            return changes
-        paused_by_me = [flow for flow in stale if not flow.paused]
-        for flow in paused_by_me:
-            flow.pause(self.env)
-        yield from self.drain(stale)
-        for flow in stale:
-            old = flow.mechanism
-            decision = yield from self._rebind_with_retry(flow)
-            if decision is None:
-                continue
-            self.rebinds += 1
-            changes.append((flow, old, decision.mechanism))
-        for flow in paused_by_me:
-            flow.resume()
-        return changes
+        rebinds = yield from self._converge(stale)
+        return rebinds
 
     def host_failed(self, host_name: str,
                     force_emit: bool = False) -> list[FlowConnection]:
@@ -948,23 +892,20 @@ class FlowReconciler:
                     and flow.dst_name in network._vnics):
                 yield from self.repair_flow(flow)
 
-    def wait_settled(self, name: Optional[str] = None):
-        """Generator: park until the reconciler has converged.
+    def settled(self, name: Optional[str] = None) -> bool:
+        """True when no handler is busy, no watch delivery is pending and
+        no flow (of ``name``, when given) is REBINDING."""
+        if self._busy or any(w.has_pending() for w in self._watches):
+            return False
+        flows = (self.table.flows_for(name) if name is not None
+                 else self.table.open_flows())
+        return not any(f.state is FlowState.REBINDING for f in flows)
 
-        Converged = no queued watch events, no handler mid-flight, and
-        no (matching) flow in a transitional state — for two consecutive
-        polls, so an event consumed but not yet handled cannot slip
-        through the gap.
-        """
+    def wait_settled(self, name: Optional[str] = None):
+        """Generator: park until :meth:`settled` holds for two
+        consecutive polls, so an event consumed but not yet handled
+        cannot slip through the gap."""
         quiet = 0
         while quiet < 2:
             yield self.env.timeout(self.SETTLE_POLL_S)
-            if self._busy or any(w.has_pending() for w in self._watches):
-                quiet = 0
-                continue
-            flows = (self.table.flows_for(name) if name is not None
-                     else self.table.open_flows())
-            if any(f.state is FlowState.REBINDING for f in flows):
-                quiet = 0
-                continue
-            quiet += 1
+            quiet = quiet + 1 if self.settled(name) else 0

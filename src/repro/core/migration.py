@@ -132,7 +132,7 @@ class MigrationController:
         if reconciler.running:
             yield from reconciler.wait_settled(name)
         else:
-            yield from reconciler.reconcile_container(name)
+            yield from reconciler.reconcile_containers((name,))
 
         mechanism_changes = []
         for connection in paused:

@@ -140,15 +140,17 @@ class RankEndpoint:
         qp, mr = self._endpoints[peer]
         inbox = self._inbox(peer)
         while True:
-            wc = yield from qp.recv_cq.wait()
-            if not wc.ok:
-                raise FreeFlowError(f"MPI receive failed: {wc.status.value}")
-            tag, payload = wc.payload
-            inbox.put((tag, wc.byte_len, payload))
-            qp.post_recv(WorkRequest(
-                opcode=Opcode.RECV, length=1 << 30,
-                wr_id=next(_wr_ids), local_mr=mr,
-            ))
+            # One wake drains every completion already queued.
+            for wc in (yield from qp.recv_cq.wait_batch()):
+                if not wc.ok:
+                    raise FreeFlowError(
+                        f"MPI receive failed: {wc.status.value}")
+                tag, payload = wc.payload
+                inbox.put((tag, wc.byte_len, payload))
+                qp.post_recv(WorkRequest(
+                    opcode=Opcode.RECV, length=1 << 30,
+                    wr_id=next(_wr_ids), local_mr=mr,
+                ))
 
     # -- point-to-point -------------------------------------------------------------
 

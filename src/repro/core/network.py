@@ -239,12 +239,10 @@ class FreeFlowNetwork:
 
     # -- connection setup ---------------------------------------------------------------
 
-    def connect_containers(self, src_name: str, dst_name: str):
-        """Raw FreeFlow channel between two containers (generator).
-
-        Benchmarks use this to measure the data plane without verbs-layer
-        overhead; the verbs path goes through :meth:`connect`.
-        """
+    def _open(self, src_name: str, dst_name: str):
+        """Generator: open a flow, resolve its mechanism and build its
+        channel, closing the flow if either fails.  Returns
+        ``(flow, channel, decision)`` for the caller to activate."""
         flow = self.flows.open(src_name, dst_name)
         try:
             decision = yield from self.resolve(src_name, dst_name)
@@ -252,6 +250,15 @@ class FreeFlowNetwork:
         except BaseException:
             self.flows.close(flow, reason="connect-failed")
             raise
+        return flow, channel, decision
+
+    def connect_containers(self, src_name: str, dst_name: str):
+        """Raw FreeFlow channel between two containers (generator).
+
+        Benchmarks use this to measure the data plane without verbs-layer
+        overhead; the verbs path goes through :meth:`connect`.
+        """
+        flow, channel, decision = yield from self._open(src_name, dst_name)
         self.flows.activate(flow, channel, decision)
         _events.emit(self.env, "flow.connect", src=src_name, dst=dst_name,
                      mechanism=decision.mechanism.value)
@@ -266,13 +273,7 @@ class FreeFlowNetwork:
         """
         src = qp_a.vnic.container
         dst = qp_b.vnic.container
-        flow = self.flows.open(src.name, dst.name)
-        try:
-            decision = yield from self.resolve(src.name, dst.name)
-            channel = self.factory.build(src.name, dst.name, decision)
-        except BaseException:
-            self.flows.close(flow, reason="connect-failed")
-            raise
+        flow, channel, decision = yield from self._open(src.name, dst.name)
         for qp in (qp_a, qp_b):
             if qp.state is QpState.RESET:
                 qp.modify(QpState.INIT)

@@ -156,13 +156,6 @@ class NetworkOrchestrator:
             raise UnknownContainer(f"no container owns IP {ip}")
         return self._record(name)
 
-    def query_location(self, name: str):
-        """RPC-shaped location query (generator): costs a round trip."""
-        yield self.env.timeout(self.query_latency_s)
-        self.queries_served += 1
-        record = self._record(name)
-        return record
-
     def query_mechanism(self, src_name: str, dst_name: str):
         """RPC-shaped policy query (generator): which mechanism to use.
 
@@ -262,13 +255,9 @@ class NetworkOrchestrator:
         served from the per-host index, O(containers on that host)."""
         return list(self._host_index.get(host_name, ()))
 
-    def watch_container(self, name: str) -> Watch:
-        """Subscribe to placement/IP changes of one container."""
-        return self.kv.watch(f"/network/containers/{name}")
-
-    def watch_capabilities(self, coalesce_s: Optional[float] = None) -> Watch:
+    def watch_capabilities(self) -> Watch:
         """Subscribe to runtime NIC-capability changes (all hosts)."""
-        return self.kv.watch("/network/nics/", coalesce_s=coalesce_s)
+        return self.kv.watch("/network/nics/")
 
     # -- convenience --------------------------------------------------------------
 

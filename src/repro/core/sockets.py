@@ -634,13 +634,18 @@ class FreeFlowSocket:
         """
         peer = self._peer
         self._peer = peer._peer = None
-        self.layer.network.close_connection(self._qp.flow)
+        flow = self._qp.flow
+        self.layer.network.close_connection(flow)
+        # Break the flow <-> QP and QP <-> QP links, so both QPs are
+        # freed by reference counting, without the cyclic collector.
+        flow.qp_a = flow.qp_b = None
         running = self.env.active_process
         for sock in (self, peer):
             for region in (sock._recv_mr, sock._rx_ring_mr, sock._bulk_mr,
                            sock._ctrl_mr):
                 sock.vnic.dereg_mr(region)
             sock.vnic.unbind(sock._qp)
+            sock._qp.remote = sock._qp.flow = None
             workers, sock._workers = sock._workers, ()
             for worker in workers:
                 if worker is not running:

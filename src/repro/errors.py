@@ -121,9 +121,9 @@ class LeaseError(OrchestrationError):
 class CompactedRevision(OrchestrationError):
     """The requested watch revision predates the compaction horizon.
 
-    Raised by :meth:`repro.cluster.kvstore.Watch.resync` (and
-    ``watch(start_revision=...)``) when the revision history needed for a
-    precise replay has been compacted away.  Callers recover the way etcd
+    Raised by :meth:`repro.cluster.kvstore.Watch.resync` when the
+    revision history needed for a precise replay has been compacted
+    away.  Callers recover the way etcd
     clients do: fall back to a full snapshot resync and diff.
     """
 

@@ -392,7 +392,8 @@ class Tank:
     buffer pools and NIC ring occupancy accounting.
     """
 
-    __slots__ = ("env", "capacity", "_level", "_puts", "_gets", "label")
+    __slots__ = ("env", "capacity", "_level", "_puts", "_gets", "label",
+                 "__weakref__")
 
     def __init__(
         self,

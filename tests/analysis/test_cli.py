@@ -29,14 +29,10 @@ def test_lint_exits_zero_on_head():
 
 
 def test_head_baseline_is_small_and_justified():
-    """The baseline only carries the MPI pump's deliberate per-message
-    completion wait; every other historical finding was fixed or
-    pragma'd with a reason."""
-    baseline = load_baseline(BASELINE)
-    assert 0 < len(baseline) <= 10
-    assert all(rule in ("SIM004", "SIM008") for rule, _, _ in baseline)
-    sim008 = [path for rule, path, _ in baseline if rule == "SIM008"]
-    assert sim008 == ["repro/core/mpi.py"]
+    """The baseline is empty: every historical finding was fixed or
+    pragma'd with a reason, so any finding in ``src`` fails the gate."""
+    assert BASELINE.exists()
+    assert load_baseline(BASELINE) == set()
 
 
 def test_new_finding_fails_and_write_baseline_accepts(tmp_path):

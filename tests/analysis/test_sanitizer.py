@@ -15,7 +15,12 @@ import pytest
 from repro.analysis import sanitizer
 from repro.cluster import ClusterOrchestrator, ContainerSpec
 from repro.core import FreeFlowNetwork, SocketLayer, sockets
-from repro.core.flows import ChannelFactory, FlowConnection, FlowState
+from repro.core.flows import (
+    ChannelFactory,
+    FlowConnection,
+    FlowState,
+    FlowTable,
+)
 from repro.core.middlebox import InspectedLane, Middlebox
 from repro.core.ratelimit import RateLimitedLane, TokenBucket
 from repro.core.sockets import FreeFlowSocket
@@ -217,10 +222,11 @@ def test_transplant_trips_through_a_wrapped_lane(disarmed, wrap):
 
 
 def test_flow_state_guard_allows_transition_api_only(disarmed):
-    flow = FlowConnection("a", "b", channel=None, decision=None)
+    table = FlowTable(Environment())
+    flow = table.open("a", "b")
     assert flow.state is FlowState.RESOLVING
 
-    flow._transition(FlowState.ACTIVE, "test")  # sanctioned path
+    table.transition(flow, FlowState.ACTIVE, reason="test")  # sanctioned
     assert flow.state is FlowState.ACTIVE
 
     with pytest.raises(AttributeError):
@@ -232,7 +238,7 @@ def test_flow_state_guard_allows_transition_api_only(disarmed):
 def test_flow_created_before_install_still_guarded(disarmed):
     """The guard does not depend on arming: a flow is read-only before,
     while and after the sanitizer is armed."""
-    flow = FlowConnection("a", "b", channel=None, decision=None)
+    flow = FlowTable(Environment()).open("a", "b")
     with pytest.raises(AttributeError):
         flow.state = FlowState.CLOSED
     sanitizer.install()

@@ -17,7 +17,7 @@ def test_convergence_passes_on_active_flows(env):
     table = FlowTable(env)
     flow = table.open("a", "b")
     table.transition(flow, FlowState.ACTIVE, reason="test")
-    assert check_convergence(table) == []
+    assert check_convergence(table, EventLog()) == []
 
 
 def test_convergence_flags_stuck_flow(env):
@@ -25,10 +25,23 @@ def test_convergence_flags_stuck_flow(env):
     flow = table.open("a", "b")
     table.transition(flow, FlowState.ACTIVE, reason="test")
     table.transition(flow, FlowState.BROKEN, reason="test")
-    violations = check_convergence(table)
+    violations = check_convergence(table, EventLog())
     assert len(violations) == 1
     assert violations[0].invariant == "convergence"
     assert "broken" in violations[0].detail
+
+
+def test_convergence_flags_a_drain_stall(env):
+    """A drain that stalled fails convergence even when every flow
+    ended ACTIVE."""
+    table = FlowTable(env)
+    flow = table.open("a", "b")
+    table.transition(flow, FlowState.ACTIVE, reason="test")
+    log = EventLog()
+    log.emit(0.25, "flow.drain.stall", flows=1, in_flight=3, polls=1000)
+    (violation,) = check_convergence(table, log)
+    assert violation.invariant == "convergence"
+    assert "3 message(s) in flight on 1 flow(s)" in violation.detail
 
 
 # -- conservation --------------------------------------------------------------

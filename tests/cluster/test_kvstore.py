@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import ABSENT, KeyValueStore
+from repro.cluster import ABSENT, KeyValueStore, WatchBatch
 
 
 @pytest.fixture
@@ -50,10 +50,9 @@ def test_watch_sees_puts_and_deletes(kv):
     watch = kv.watch("/net/")
     kv.put("/net/a", 1)
     kv.put("/other/b", 2)
+    assert [(e.kind, e.key) for e in watch.pending()] == [("put", "/net/a")]
     kv.delete("/net/a")
-    events = watch.pending()
-    assert [(e.kind, e.key) for e in events] == [
-        ("put", "/net/a"),
+    assert [(e.kind, e.key) for e in watch.pending()] == [
         ("delete", "/net/a"),
     ]
 
@@ -63,8 +62,9 @@ def test_watch_from_process(env, kv):
     seen = []
 
     def watcher():
-        event = yield watch.queue.get()
-        seen.append((event.kind, event.key, event.value))
+        batch = yield watch.queue.get()
+        assert type(batch) is WatchBatch
+        seen.extend((event.kind, event.key, event.value) for event in batch)
 
     def writer():
         yield env.timeout(1)
@@ -125,8 +125,8 @@ def test_cancel_during_active_watch_loop(env, kv):
 
     def watcher():
         while True:
-            event = yield watch.queue.get()
-            seen.append(event.key)
+            batch = yield watch.queue.get()
+            seen.extend(event.key for event in batch)
 
     def driver():
         yield env.timeout(1)
@@ -168,15 +168,15 @@ def test_include_existing_replays_before_concurrent_puts(kv):
 
 
 def test_delete_under_watched_prefix_carries_last_value(kv):
+    """Within one instant a key's events collapse to its latest: the
+    DELETE, carrying the value it removed."""
     watch = kv.watch("/c/")
     kv.put("/c/x", "v1")
     kv.put("/c/x", "v2")
     kv.delete("/c/x")
     kv.delete("/other")          # outside the prefix, and absent anyway
     events = watch.pending()
-    assert [(e.kind, e.value) for e in events] == [
-        ("put", "v1"), ("put", "v2"), ("delete", "v2"),
-    ]
+    assert [(e.kind, e.value) for e in events] == [("delete", "v2")]
 
 
 def test_resync_replays_live_state_only(kv):

@@ -1,5 +1,6 @@
-"""Datacenter-scale KV-store machinery: coalesced delivery, indexed
-watch dispatch, revision history, compaction and precise resync."""
+"""Datacenter-scale KV-store machinery: per-instant batched delivery,
+indexed watch dispatch, revision history, compaction and precise
+resync."""
 
 import pytest
 
@@ -14,11 +15,12 @@ def kv(env):
 
 class TestCoalescedDelivery:
     def test_same_instant_puts_collapse_to_one_batch(self, env, kv):
-        watch = kv.watch("/c/", coalesce_s=0.0)
+        watch = kv.watch("/c/")
         kv.put("/c/a", 1)
         kv.put("/c/a", 2)
         kv.put("/c/b", 10)
-        env.run(until=0.0)  # zero-window flush still needs the timer event
+        assert watch.queue.drain() == []  # buffered until the instant ends
+        env.run(until=0.0)  # the flush is a zero-delay timer event
         items = watch.queue.drain()
         assert len(items) == 1
         batch = items[0]
@@ -29,20 +31,23 @@ class TestCoalescedDelivery:
         ]
 
     def test_windows_split_batches(self, env, kv):
-        watch = kv.watch("/c/", coalesce_s=0.1)
+        """Each simulated instant is its own window: puts at two
+        instants, however close, arrive as two batches."""
+        watch = kv.watch("/c/")
         kv.put("/c/a", 1)
 
         def later():
-            yield env.timeout(0.5)
+            yield env.timeout(1e-9)
             kv.put("/c/a", 2)
+            kv.put("/c/b", 3)
 
         env.process(later())
         env.run(until=1.0)
         batches = watch.queue.drain()
-        assert [[e.value for e in b] for b in batches] == [[1], [2]]
+        assert [[e.value for e in b] for b in batches] == [[1], [2, 3]]
 
     def test_delete_after_put_survives_as_latest(self, env, kv):
-        watch = kv.watch("/c/", coalesce_s=0.0)
+        watch = kv.watch("/c/")
         kv.put("/c/a", 1)
         kv.delete("/c/a")
         env.run(until=0.0)
@@ -50,7 +55,7 @@ class TestCoalescedDelivery:
         assert [(e.kind, e.key) for e in batch] == [("delete", "/c/a")]
 
     def test_pending_flushes_buffer(self, env, kv):
-        watch = kv.watch("/c/", coalesce_s=10.0)
+        watch = kv.watch("/c/")
         kv.put("/c/a", 1)
         assert watch.has_pending()
         events = watch.pending()  # synchronous drain: no timer wait
@@ -58,20 +63,34 @@ class TestCoalescedDelivery:
         assert not watch.has_pending()
 
     def test_cancel_discards_buffer(self, env, kv):
-        watch = kv.watch("/c/", coalesce_s=0.0)
+        watch = kv.watch("/c/")
         kv.put("/c/a", 1)
         watch.cancel()
         env.run(until=0.0)
         assert watch.queue.drain() == []
 
     def test_batch_revision_advances_last_revision(self, env, kv):
-        watch = kv.watch("/c/", coalesce_s=0.0)
+        watch = kv.watch("/c/")
         rev = kv.put("/c/a", 1)
         assert watch.last_revision == rev
 
-    def test_negative_window_rejected(self, kv):
-        with pytest.raises(ValueError):
-            kv.watch("/c/", coalesce_s=-1.0)
+    def test_replays_stay_one_event_per_batch(self, env, kv):
+        """A replay is never merged: a DELETE then a PUT of one key stay
+        two deliveries, so a consumer sees an arrival, not a move."""
+        watch = kv.watch("/c/")
+        kv.put("/c/a", 1)
+        anchor = kv.revision
+        kv.delete("/c/a")
+        kv.put("/c/a", 2)
+        env.run(until=0.0)
+        watch.queue.drain()  # the live deliveries, "lost"
+        assert watch.resync(since=anchor) == 2
+        assert watch.resync() == 1
+        batches = watch.queue.drain()
+        assert all(type(batch) is WatchBatch for batch in batches)
+        assert [[(e.kind, e.value) for e in batch] for batch in batches] == [
+            [("delete", 1)], [("put", 2)], [("put", 2)],
+        ]
 
 
 class TestIndexedDispatch:
@@ -153,11 +172,14 @@ class TestHistoryAndCompaction:
             ("put", 2), ("delete", 2),  # deletes carry the last value
         ]
 
-    def test_start_revision_watch_replays_history(self, env, kv):
+    def test_resync_since_replays_history(self, env, kv):
+        """A watch opened late replays the retained history after a
+        revision it names, DELETEs included."""
         kv.put("/c/a", 1)
         rev = kv.put("/c/b", 2)
         kv.delete("/c/a")
-        watch = kv.watch("/c/", start_revision=rev)
+        watch = kv.watch("/c/")
+        assert watch.resync(since=rev - 1) == 2
         assert [(e.kind, e.key) for e in watch.pending()] == [
             ("put", "/c/b"), ("delete", "/c/a"),
         ]

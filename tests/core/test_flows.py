@@ -236,35 +236,6 @@ class TestChannelFactory:
             assert new_flow_label in handle.tracer.flows()
 
 
-class _FakeChannel:
-    def __init__(self):
-        self.closed = False
-
-    def close(self):
-        self.closed = True
-
-
-class TestStandaloneFlow:
-    def test_direct_construction_is_active(self, env):
-        from repro.core import FlowConnection
-
-        flow = FlowConnection("a", "b", _FakeChannel(), None)
-        assert flow.state is FlowState.ACTIVE
-        assert flow.table is None
-
-    def test_standalone_transitions_still_guarded(self, env):
-        from repro.core import FlowConnection
-
-        flow = FlowConnection("a", "b", _FakeChannel(), None)
-        flow.pause(env)
-        assert flow.state is FlowState.PAUSED
-        flow.resume()
-        assert flow.state is FlowState.ACTIVE
-        flow.close()
-        with pytest.raises(FlowStateError):
-            flow._transition(FlowState.ACTIVE, "nope")
-
-
 def test_registry_exports_flow_gauges():
     from repro import telemetry
     from repro.cluster import ClusterOrchestrator

@@ -66,18 +66,6 @@ def test_deregister_unknown_is_noop(orchestrator):
     orchestrator.deregister("ghost")
 
 
-def test_query_location_costs_a_round_trip(env, orchestrator, pair, runner):
-    def query():
-        started = env.now
-        record = yield from orchestrator.query_location("a")
-        return record, env.now - started
-
-    record, elapsed = runner(query())
-    assert record.container.name == "a"
-    assert elapsed == pytest.approx(orchestrator.query_latency_s)
-    assert orchestrator.queries_served == 1
-
-
 def test_query_mechanism_decides_from_global_state(
     env, cluster, orchestrator, pair, runner
 ):
@@ -102,7 +90,7 @@ def test_nic_capabilities(cluster, orchestrator):
 
 def test_refresh_location_publishes(cluster, orchestrator, pair):
     a, __ = pair
-    watch = orchestrator.watch_container("a")
+    watch = orchestrator.kv.watch("/network/containers/a")
     cluster.relocate("a", "h2")
     orchestrator.refresh_location("a")
     events = watch.pending()

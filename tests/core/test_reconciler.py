@@ -9,6 +9,7 @@ every channel swap.
 
 import pytest
 
+from repro import telemetry
 from repro.cluster import ContainerSpec
 from repro.core import FlowState, MigrationController
 from repro.errors import ConnectionReset
@@ -323,7 +324,9 @@ class TestBusyReceiverDuringDrain:
     """The pause gate holds senders only.  A receiver busy when its flow
     is paused must still be able to consume once it returns, or a
     backlog larger than the receive window keeps ``drain`` polling
-    forever and the rebind never happens."""
+    forever and the rebind never happens.  Such a drain reports a stall
+    after ``DRAIN_STALL_POLLS`` unchanged polls, well inside the run's
+    horizon, so the test fails on that report first."""
 
     @pytest.mark.parametrize("nbytes", [1 << 20, 4 << 20])
     def test_rebind_finishes_whatever_the_backlog_size(
@@ -335,7 +338,7 @@ class TestBusyReceiverDuringDrain:
         rebound = []
 
         def rebind():
-            yield from network.reconciler.reconcile_container("a0")
+            yield from network.reconciler.reconcile_containers(("a0",))
             rebound.append(env.now)
 
         def program():
@@ -361,7 +364,10 @@ class TestBusyReceiverDuringDrain:
             return flow
 
         done = env.process(program())
-        env.run(until=1.0)
+        with telemetry.session() as handle:
+            env.run(until=1.0)
+            stalls = handle.events.of_kind("flow.drain.stall")
+        assert stalls == [], f"drain stalled: {stalls[0].fields}"
         assert done.triggered, f"{len(arrived)} of 4 messages arrived"
         flow = done.value
         assert arrived == [0, 1, 2, 3]

@@ -173,7 +173,7 @@ def _run(plan: SimpleNamespace, horizon_s=None) -> SimpleNamespace:
                                            sends))
 
         def rebind():
-            yield from network.reconciler.reconcile_container("a0")
+            yield from network.reconciler.reconcile_containers(("a0",))
             start_phase(1)
 
         def receiver(i, direction):

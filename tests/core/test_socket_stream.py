@@ -14,7 +14,6 @@ import gc
 import pytest
 
 from repro import telemetry
-from repro.analysis import waitfor
 from repro.chaos import NicInjector
 from repro.cluster import ContainerSpec
 from repro.core import FlowState, SocketLayer
@@ -23,6 +22,7 @@ from repro.core.sockets import (
     ZERO_COPY_THRESHOLD_BYTES,
     FreeFlowSocket,
 )
+from repro.core.verbs import CompletionQueue, QueuePair
 from repro.sim import Process
 from repro.transports import Mechanism
 
@@ -334,9 +334,8 @@ def test_a_released_connection_is_freed_without_the_collector(
 ):
     """Once both ends shut down, both sockets' flusher and dispatcher
     and both queue pairs' vNIC engines end, so no process of the
-    connection stays parked and neither socket waits for the cyclic
-    collector.  An armed wait-for graph keeps the processes that held
-    credit in its tank ledgers, so it stays out of the count."""
+    connection stays parked, and neither socket nor queue pair waits
+    for the cyclic collector, with the wait-for graph armed or not."""
     client_c, server_c = remote_pair
     listener = layer.listen(server_c, 7106)
 
@@ -359,15 +358,12 @@ def test_a_released_connection_is_freed_without_the_collector(
             yield server_proc
         yield env.timeout(0.01)  # the last FINs land
 
-    armed = waitfor.installed()
-    waitfor.uninstall()
+    kinds = (Process, FreeFlowSocket, QueuePair, CompletionQueue)
     gc.collect()
     gc.disable()
     try:
-        before = live(Process), live(FreeFlowSocket)
+        before = [live(kind) for kind in kinds]
         runner(go())
-        assert (live(Process), live(FreeFlowSocket)) == before
+        assert [live(kind) for kind in kinds] == before
     finally:
         gc.enable()
-        if armed:
-            waitfor.install()
